@@ -116,7 +116,8 @@ int main() {
   model_options.default_max_depth = harness.config().vmm_max_depth;
   auto built = ModelSnapshot::Build(harness.training_data(), model_options, 1);
   SQP_CHECK(built.ok());
-  const std::shared_ptr<const ModelSnapshot> model = built.value();
+  const std::shared_ptr<const CompactSnapshot> model =
+      CompactSnapshot::FromSnapshot(*built.value(), CompactOptions{.top_k = 0});
   const std::vector<std::vector<QueryId>> contexts = Contexts(harness, 2048);
   SQP_CHECK(!contexts.empty());
 

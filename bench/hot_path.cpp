@@ -100,7 +100,11 @@ struct WalkCost {
   double qps = 0.0;
 };
 
+/// Times the walk over `model` — the snapshot's own ModelRef, or a copy
+/// with dense_merge = false for the sparse sort-merge — and the descent
+/// alone over `snapshot`.
 WalkCost MeasureWalk(const CompactServingBase& snapshot,
+                     const serving::ModelRef& model,
                      const std::vector<std::vector<QueryId>>& contexts,
                      double seconds) {
   SnapshotScratch scratch;
@@ -110,7 +114,7 @@ WalkCost MeasureWalk(const CompactServingBase& snapshot,
   while (timer.ElapsedSeconds() < seconds) {
     for (size_t burst = 0; burst < 256; ++burst) {
       const Recommendation rec =
-          snapshot.Recommend(contexts[cursor], 5, &scratch);
+          RecommendFromModel(model, contexts[cursor], 5, &scratch);
       (void)rec;
       cursor = (cursor + 1) % contexts.size();
       ++served;
@@ -148,11 +152,11 @@ bool DenseMatchesSparseEverywhere(
   SnapshotScratch scratch;
   std::vector<Recommendation> reference;
   reference.reserve(contexts.size());
-  internal::ForceSparseMergeForTest().store(true);
+  serving::ModelRef sparse = snapshot.model_ref();
+  sparse.dense_merge = false;
   for (const std::vector<QueryId>& context : contexts) {
-    reference.push_back(snapshot.Recommend(context, 10, &scratch));
+    reference.push_back(RecommendFromModel(sparse, context, 10, &scratch));
   }
-  internal::ForceSparseMergeForTest().store(false);
 
   const auto same = [](const Recommendation& a, const Recommendation& b) {
     if (a.covered != b.covered || a.matched_length != b.matched_length ||
@@ -292,7 +296,9 @@ int main() {
   double best_ns = 0.0;
   for (const kernels::SimdLevel level : SupportedLevels()) {
     const kernels::SimdLevel previous = kernels::SetActiveLevel(level);
-    const WalkCost cost = MeasureWalk(*compact, contexts, /*seconds=*/0.6);
+    const WalkCost cost =
+        MeasureWalk(*compact, compact->model_ref(), contexts,
+                    /*seconds=*/0.6);
     kernels::SetActiveLevel(previous);
     Row r;
     r.name = "hotpath_walk";
@@ -311,10 +317,12 @@ int main() {
     if (level == kernels::BestSupportedLevel()) best_ns = cost.recommend_ns;
   }
 
-  // Phase 2b: the legacy sparse sort-merge walk (pre-dense reference).
-  internal::ForceSparseMergeForTest().store(true);
-  const WalkCost sparse = MeasureWalk(*compact, contexts, /*seconds=*/0.6);
-  internal::ForceSparseMergeForTest().store(false);
+  // Phase 2b: the sparse sort-merge walk (a ModelRef copy with
+  // dense_merge = false).
+  serving::ModelRef sparse_model = compact->model_ref();
+  sparse_model.dense_merge = false;
+  const WalkCost sparse =
+      MeasureWalk(*compact, sparse_model, contexts, /*seconds=*/0.6);
   {
     Row r;
     r.name = "hotpath_walk";

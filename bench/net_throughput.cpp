@@ -89,8 +89,12 @@ bool RouterMatchesReference(net::RouterClient* router,
         contexts.begin() + static_cast<ptrdiff_t>(start),
         contexts.begin() + static_cast<ptrdiff_t>(start + n));
     const BatchResult batch = router->RecommendMany(slice, 5);
+    ServeOptions unbounded;
+    if (n >= ShardedEngineOptions{}.min_batch_fanout) {
+      unbounded.lane = QosLane::kBulk;
+    }
     const std::vector<Recommendation> expected =
-        reference.RecommendMany(slice, 5);
+        reference.RecommendMany(slice, 5, unbounded).results;
     if (batch.results.size() != expected.size()) return false;
     for (size_t i = 0; i < expected.size(); ++i) {
       if (batch.statuses[i] != StatusCode::kOk) return false;
@@ -208,10 +212,13 @@ int main() {
   std::vector<std::unique_ptr<RecommenderEngine>> loopback_engines;
   std::vector<const RecommenderEngine*> loopback_borrowed;
   for (size_t s = 0; s < kShards; ++s) {
-    reference.PublishShard(s, trained->shards[s]);
+    const std::shared_ptr<const CompactSnapshot> packed =
+        CompactSnapshot::FromSnapshot(*trained->shards[s],
+                                      CompactOptions{.top_k = 0});
+    reference.PublishShard(s, packed);
     loopback_engines.push_back(std::make_unique<RecommenderEngine>(
         EngineOptions{.num_threads = 1}));
-    loopback_engines.back()->Publish(trained->shards[s]);
+    loopback_engines.back()->Publish(packed);
     loopback_borrowed.push_back(loopback_engines.back().get());
   }
 

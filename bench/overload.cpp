@@ -91,20 +91,26 @@ bool SameRecommendation(const Recommendation& a, const Recommendation& b) {
 
 /// Phase A: with no overload, the QoS paths must be invisible.
 bool CheckNoOverloadEquivalence(
-    const std::shared_ptr<const ModelSnapshot>& model,
+    const std::shared_ptr<const CompactSnapshot>& model,
     const std::vector<AggregatedSession>& corpus,
     const MvmmOptions& model_options, size_t vocabulary_size,
     const std::vector<std::vector<QueryId>>& contexts) {
   ServeOptions generous;
   generous.deadline = Deadline::After(std::chrono::seconds(30));
   const std::vector<ContextRef> refs = MakeRefs(contexts, contexts.size());
+  // The unbounded reference: pool-sized batches ride the bulk lane.
+  ServeOptions unbounded;
+  if (refs.size() >= EngineOptions{}.min_batch_fanout) {
+    unbounded.lane = QosLane::kBulk;
+  }
 
   bool equal = true;
   {
     RecommenderEngine engine(EngineOptions{.num_threads = 2});
     engine.Publish(model);
     const std::vector<Recommendation> legacy =
-        engine.RecommendMany(std::span<const ContextRef>(refs), 5);
+        engine.RecommendMany(std::span<const ContextRef>(refs), 5, unbounded)
+            .results;
     for (const QosLane lane : {QosLane::kInteractive, QosLane::kBulk}) {
       ServeOptions options = generous;
       options.lane = lane;
@@ -123,8 +129,9 @@ bool CheckNoOverloadEquivalence(
     for (size_t i = 0; i < 512 && equal; ++i) {
       const ServeResult single = engine.Recommend(refs[i], 5, generous);
       if (single.status != StatusCode::kOk || single.degraded ||
-          !SameRecommendation(engine.Recommend(refs[i], 5),
-                              single.recommendation)) {
+          !SameRecommendation(
+              engine.Recommend(refs[i], 5, ServeOptions{}).recommendation,
+              single.recommendation)) {
         equal = false;
       }
     }
@@ -139,10 +146,13 @@ bool CheckNoOverloadEquivalence(
     ShardedEngine engine(
         ShardedEngineOptions{.num_shards = 2, .num_threads = 2});
     for (size_t s = 0; s < 2; ++s) {
-      engine.PublishShard(s, trained->shards[s]);
+      engine.PublishShard(s, CompactSnapshot::FromSnapshot(
+                                 *trained->shards[s],
+                                 CompactOptions{.top_k = 0}));
     }
     const std::vector<Recommendation> legacy =
-        engine.RecommendMany(std::span<const ContextRef>(refs), 5);
+        engine.RecommendMany(std::span<const ContextRef>(refs), 5, unbounded)
+            .results;
     const BatchResult qos =
         engine.RecommendMany(std::span<const ContextRef>(refs), 5, generous);
     if (!qos.admission.ok() || qos.served != refs.size()) equal = false;
@@ -178,7 +188,7 @@ struct OverloadResult {
 /// paced (a real client backs off after a shed; a busy-spin would only
 /// measure how fast the refusal path is) and the saturator sleeps briefly
 /// between batches so admit windows exist even on a 1-core box.
-OverloadResult RunOverload(const std::shared_ptr<const ModelSnapshot>& model,
+OverloadResult RunOverload(const std::shared_ptr<const CompactSnapshot>& model,
                            const std::vector<std::vector<QueryId>>& contexts,
                            size_t saturator_threads, size_t saturator_items,
                            double seconds) {
@@ -267,9 +277,12 @@ OverloadResult RunOverload(const std::shared_ptr<const ModelSnapshot>& model,
       // Legacy deadline-free batches: exempt from all shedding, they are
       // the pressure the bounded traffic must survive.
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto results = engine.RecommendMany(
-            std::span<const ContextRef>(saturator_refs), 10);
-        if (results.size() != saturator_refs.size()) violations.fetch_add(1);
+        const BatchResult results = engine.RecommendMany(
+            std::span<const ContextRef>(saturator_refs), 10,
+            ServeOptions{.lane = QosLane::kBulk});
+        if (results.results.size() != saturator_refs.size()) {
+          violations.fetch_add(1);
+        }
         saturator_batches.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
@@ -394,7 +407,8 @@ int main() {
   model_options.default_max_depth = harness.config().vmm_max_depth;
   auto built = ModelSnapshot::Build(harness.training_data(), model_options, 1);
   SQP_CHECK(built.ok());
-  const std::shared_ptr<const ModelSnapshot> model = built.value();
+  const std::shared_ptr<const CompactSnapshot> model =
+      CompactSnapshot::FromSnapshot(*built.value(), CompactOptions{.top_k = 0});
   const std::vector<std::vector<QueryId>> contexts = Contexts(harness);
   SQP_CHECK(!contexts.empty());
 

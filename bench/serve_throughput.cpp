@@ -64,6 +64,8 @@ Measurement MeasureBatchQps(const std::shared_ptr<const ServingSnapshot>& model,
                             size_t threads, size_t batch, double seconds) {
   RecommenderEngine engine(EngineOptions{.num_threads = threads});
   engine.Publish(model);
+  ServeOptions options;
+  if (batch >= EngineOptions{}.min_batch_fanout) options.lane = QosLane::kBulk;
   std::vector<ContextRef> refs;
   refs.reserve(batch);
   size_t cursor = 0;
@@ -76,9 +78,9 @@ Measurement MeasureBatchQps(const std::shared_ptr<const ServingSnapshot>& model,
       refs.emplace_back(context.data(), context.size());
       cursor = (cursor + 1) % contexts.size();
     }
-    const auto results =
-        engine.RecommendMany(std::span<const ContextRef>(refs), 5);
-    served += results.size();
+    const BatchResult results =
+        engine.RecommendMany(std::span<const ContextRef>(refs), 5, options);
+    served += results.results.size();
   }
   Measurement m;
   m.name = "batch_qps";
@@ -100,7 +102,8 @@ Measurement MeasureSingleLatency(RecommenderEngine* engine,
   uint64_t served = 0;
   while (total.ElapsedSeconds() < seconds) {
     WallTimer timer;
-    const Recommendation rec = engine->Recommend(contexts[cursor], 5);
+    const ServeResult rec =
+        engine->Recommend(contexts[cursor], 5, ServeOptions{});
     latencies_us.push_back(timer.ElapsedSeconds() * 1e6);
     (void)rec;
     ++served;
@@ -156,7 +159,8 @@ int main() {
   options.default_max_depth = harness.config().vmm_max_depth;
   auto built = ModelSnapshot::Build(harness.training_data(), options, 1);
   SQP_CHECK(built.ok());
-  const std::shared_ptr<const ModelSnapshot> model = built.value();
+  const std::shared_ptr<const CompactSnapshot> model =
+      CompactSnapshot::FromSnapshot(*built.value(), CompactOptions{.top_k = 0});
   const std::vector<std::vector<QueryId>> contexts = Contexts(harness);
   SQP_CHECK(!contexts.empty());
 
@@ -171,12 +175,12 @@ int main() {
     measurements.push_back(m);
   }
 
-  // Phase 1b: the same single-lane batch workload off the compact serving
-  // layout — the claim is that the quantized/truncated variant serves
-  // within a few percent of the full snapshot (compare against the
+  // Phase 1b: the same single-lane batch workload off the footprint
+  // packing — the claim is that the quantized/truncated variant serves
+  // within a few percent of the exact packing (compare against the
   // threads=1 batch_qps row).
   const std::shared_ptr<const CompactSnapshot> compact =
-      CompactSnapshot::FromSnapshot(*model, CompactOptions{});
+      CompactSnapshot::FromSnapshot(*built.value(), CompactOptions{});
   {
     Measurement m = MeasureBatchQps(compact, contexts, /*threads=*/1,
                                     /*batch=*/256, /*seconds=*/0.8);
@@ -186,7 +190,8 @@ int main() {
     measurements.push_back(m);
   }
 
-  // Phase 2: single-query latency, steady snapshot — full, then compact.
+  // Phase 2: single-query latency, steady snapshot — exact packing, then
+  // the footprint packing.
   {
     RecommenderEngine engine(EngineOptions{.num_threads = 1});
     engine.Publish(model);

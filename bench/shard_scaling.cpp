@@ -112,7 +112,8 @@ int main() {
   options.default_max_depth = harness.config().vmm_max_depth;
   auto built = ModelSnapshot::Build(harness.training_data(), options, 1);
   SQP_CHECK(built.ok());
-  const std::shared_ptr<const ModelSnapshot> reference = built.value();
+  const std::shared_ptr<const CompactSnapshot> reference =
+      CompactSnapshot::FromSnapshot(*built.value(), CompactOptions{.top_k = 0});
   const std::vector<std::vector<QueryId>> contexts = Contexts(harness);
   SQP_CHECK(!contexts.empty());
 
@@ -142,7 +143,9 @@ int main() {
         .num_shards = shards, .num_threads = std::min<size_t>(hardware, 4)});
     m.threads = engine.num_threads();
     for (size_t s = 0; s < shards; ++s) {
-      engine.PublishShard(s, trained->shards[s]);
+      engine.PublishShard(s, CompactSnapshot::FromSnapshot(
+                                 *trained->shards[s],
+                                 CompactOptions{.top_k = 0}));
     }
 
     // Equivalence first (it is the claim the QPS numbers rest on).
@@ -152,7 +155,8 @@ int main() {
       for (const std::vector<QueryId>& context : contexts) {
         if (!SameRecommendation(
                 reference->Recommend(context, 10, &scratch),
-                engine.Recommend(context, 10))) {
+                engine.Recommend(context, 10, ServeOptions{})
+                    .recommendation)) {
           m.equivalent = false;
           all_equivalent = false;
           break;
@@ -173,8 +177,10 @@ int main() {
           refs.emplace_back(context.data(), context.size());
           cursor = (cursor + 1) % contexts.size();
         }
-        served += engine.RecommendMany(std::span<const ContextRef>(refs), 5)
-                      .size();
+        served += engine
+                      .RecommendMany(std::span<const ContextRef>(refs), 5,
+                                     ServeOptions{.lane = QosLane::kBulk})
+                      .results.size();
       }
       m.batch_qps = static_cast<double>(served) / timer.ElapsedSeconds();
     }
@@ -187,7 +193,8 @@ int main() {
       WallTimer total;
       while (total.ElapsedSeconds() < 0.8) {
         WallTimer timer;
-        const Recommendation rec = engine.Recommend(contexts[cursor], 5);
+        const ServeResult rec =
+            engine.Recommend(contexts[cursor], 5, ServeOptions{});
         latencies_us.push_back(timer.ElapsedSeconds() * 1e6);
         (void)rec;
         cursor = (cursor + 1) % contexts.size();

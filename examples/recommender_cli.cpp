@@ -21,8 +21,8 @@
 //                 background; unseen queries join the vocabulary live.
 //                 With --shards, each session reaches exactly the shards
 //                 whose counts it affects and shards rebuild independently
-//   --compact     publish compact serving snapshots (CSR layout, top-16
-//                 nexts, 16-bit quantized counts) instead of the full model
+//   --compact     publish footprint-packed snapshots (top-16 nexts,
+//                 16-bit quantized counts) instead of the exact packing
 //   --save-snapshot PATH
 //                 persist every published rebuild (atomic tmp+rename):
 //                 per-shard blobs at PATH.shard<k> — one at the default

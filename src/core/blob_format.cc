@@ -71,6 +71,8 @@ const char* BlobErrorMessage(BlobError error) {
       return "edge child id out of range";
     case BlobError::kRootIndexRange:
       return "root index id out of range";
+    case BlobError::kCodeWidthVersion:
+      return "count code width disagrees with the format version";
   }
   return "unknown blob error";
 }
@@ -84,7 +86,8 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
   const uint32_t header_crc = LoadLE32(blob + 60);
   if (header_crc != Crc32(blob, 60)) return BlobError::kHeaderCrc;
   out->format_version = LoadLE32(blob + 8);
-  if (out->format_version != kBlobFormatVersion) {
+  if (out->format_version != kBlobFormatVersion &&
+      out->format_version != kBlobFormatVersionWideCodes) {
     return BlobError::kVersionMismatch;
   }
   const uint32_t section_count = LoadLE32(blob + 12);
@@ -157,6 +160,11 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
   out->weighting = static_cast<MixtureWeighting>(weighting);
   out->narrow_ids = (flags & kBlobFlagNarrowIds) != 0;
   out->narrow_masks = (flags & kBlobFlagNarrowMasks) != 0;
+  out->wide_codes = (flags & kBlobFlagWideCodes) != 0;
+  if (out->wide_codes !=
+      (out->format_version == kBlobFormatVersionWideCodes)) {
+    return BlobError::kCodeWidthVersion;
+  }
 
   if (out->num_nodes == 0 || out->num_nodes > uint64_t{0x7fffffff}) {
     return BlobError::kNodeCount;
@@ -190,7 +198,8 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
       !expect_size(kSecMask16, out->narrow_masks ? 2 * out->num_nodes : 0) ||
       !expect_size(kSecMask64, out->narrow_masks ? 0 : 8 * out->num_nodes) ||
       !expect_size(kSecNextQuery, id_width * out->num_entries) ||
-      !expect_size(kSecNextCode, 2 * out->num_entries) ||
+      !expect_size(kSecNextCode,
+                   (out->wide_codes ? 4 : 2) * out->num_entries) ||
       !expect_size(kSecEdgeQuery, id_width * out->num_edges) ||
       !expect_size(kSecEdgeChild, id_width * out->num_edges) ||
       !expect_size(kSecRootIndex, id_width * out->root_index_size)) {

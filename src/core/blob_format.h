@@ -44,8 +44,14 @@ inline constexpr size_t kBlobSectionAlignment = 64;
 inline constexpr size_t kBlobMetaSize = 64;
 inline constexpr uint32_t kBlobMaxSections = 64;
 
-/// On-disk format version this build writes and accepts.
+/// On-disk format versions this build writes and accepts. Version 1 is
+/// every blob with u16 count codes; version 2 differs only in storing the
+/// count codes as u32 (META flag kBlobFlagWideCodes), which exact packing
+/// needs once a count outgrows 16 bits. The writer emits version 1
+/// whenever the codes fit 16 bits, so those blobs stay readable by
+/// version-1-only readers, which refuse version 2 as a version mismatch.
 inline constexpr uint32_t kBlobFormatVersion = 1;
+inline constexpr uint32_t kBlobFormatVersionWideCodes = 2;
 
 /// The 8-byte magic at offset 0 of every snapshot blob.
 inline constexpr char kBlobMagic[8] = {'S', 'Q', 'P', 'S', 'N', 'A', 'P', '1'};
@@ -76,6 +82,8 @@ inline constexpr uint32_t kBlobNumKnownSections = 15;
 /// META section flags.
 inline constexpr uint32_t kBlobFlagNarrowIds = 1u << 0;
 inline constexpr uint32_t kBlobFlagNarrowMasks = 1u << 1;
+/// u32 count codes; set exactly in version-2 blobs.
+inline constexpr uint32_t kBlobFlagWideCodes = 1u << 2;
 
 // ---------------------------------------------------------------- errors
 
@@ -112,6 +120,7 @@ enum class BlobError : int {
   kEdgeOrder,
   kEdgeChildRange,
   kRootIndexRange,
+  kCodeWidthVersion,  // wide-code flag set iff format version 2
 };
 
 /// Static description of `error` (never null; stable storage).
@@ -136,6 +145,7 @@ struct BlobLayout {
   MixtureWeighting weighting = MixtureWeighting::kGaussianEditDistance;
   bool narrow_ids = false;
   bool narrow_masks = false;
+  bool wide_codes = false;  // u32 count codes (format version 2)
   uint64_t top_k = 0;
   uint64_t num_nodes = 0;
   uint64_t num_entries = 0;

@@ -9,13 +9,6 @@
 
 namespace sqp {
 
-namespace internal {
-std::atomic<bool>& ForceSparseMergeForTest() {
-  static std::atomic<bool> force{false};
-  return force;
-}
-}  // namespace internal
-
 namespace {
 
 /// Saturating narrowing for the per-node count headers. Counts beyond
@@ -57,10 +50,11 @@ uint8_t BlockShift(uint64_t max_count) {
 /// The root keeps nothing: serving never reads the root's nexts (ranking
 /// levels are non-root path nodes), so packing them would be dead weight.
 ///
-/// Cost: when any node truncates, pass (b) runs one full Recommend per
-/// tree node — O(n * top_k * depth) on top of the model build. That is
-/// the price of the preservation property; both passes are skipped
-/// entirely when no node exceeds top_k.
+/// Cost: when any node truncates, pass (b) packs `full` exactly once and
+/// serves one recommendation per tree node through it —
+/// O(n * top_k * depth) on top of the model build. That is the price of
+/// the preservation property; both passes are skipped entirely when no
+/// node exceeds top_k.
 std::vector<std::vector<uint32_t>> KeptEntries(const ModelSnapshot& full,
                                                size_t top_k) {
   const std::vector<Pst::Node>& nodes = full.pst()->nodes();
@@ -92,10 +86,13 @@ std::vector<std::vector<uint32_t>> KeptEntries(const ModelSnapshot& full,
   // sees every descendant before its ancestor (node ids are
   // parent-before-child). Both are no-ops when nothing was truncated.
   if (any_truncated) {
+    const std::shared_ptr<const CompactSnapshot> exact =
+        CompactSnapshot::FromSnapshot(full, CompactOptions{.top_k = 0});
     SnapshotScratch scratch;
+    scratch.Prepare(exact->ScratchHint());
     for (size_t id = 1; id < n; ++id) {
       const Recommendation rec =
-          full.Recommend(nodes[id].context, top_k, &scratch);
+          exact->Recommend(nodes[id].context, top_k, &scratch);
       for (const ScoredQuery& sq : rec.queries) {
         for (int32_t a = static_cast<int32_t>(id); a > 0;
              a = nodes[static_cast<size_t>(a)].parent) {
@@ -140,6 +137,7 @@ void CompactSnapshot::BindViews() {
   mask16_ = own_mask16_;
   mask64_ = own_mask64_;
   next_code_ = own_next_code_;
+  next_code32_ = own_next_code32_;
   narrow_view_ = NarrowPoolsView{narrow_.next_query, narrow_.edge_query,
                                  narrow_.edge_child,
                                  narrow_.root_child_by_query};
@@ -192,18 +190,37 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
     out->own_mask64_.reserve(n);
   }
 
+  // Exact packing keeps every entry and never shifts a count: the codes
+  // are u16 while every packed count fits (the byte-identical version-1
+  // layout) and u32 beyond that. The root's nexts are never packed, so
+  // they do not count.
+  const bool exact = options.top_k == 0;
+  uint64_t max_count = 0;
+  for (size_t id = 1; id < n; ++id) {
+    if (!nodes[id].nexts.empty()) {
+      max_count = std::max(max_count, nodes[id].nexts[0].count);
+    }
+  }
+  const bool wide_codes = exact && max_count > 0xffff;
   const std::vector<std::vector<uint32_t>> kept =
-      KeptEntries(full, options.top_k == 0
-                            ? std::numeric_limits<size_t>::max()
-                            : options.top_k);
+      KeptEntries(full, exact ? std::numeric_limits<size_t>::max()
+                              : options.top_k);
 
-  const auto push_entry = [&](QueryId query, uint16_t code) {
+  const auto push_entry = [&](QueryId query, uint64_t code) {
     if (out->is_narrow_) {
       out->narrow_.next_query.push_back(static_cast<uint16_t>(query));
     } else {
       out->wide_.next_query.push_back(query);
     }
-    out->own_next_code_.push_back(code);
+    if (wide_codes) {
+      out->own_next_code32_.push_back(SaturateU32(code));
+    } else {
+      out->own_next_code_.push_back(static_cast<uint16_t>(code));
+    }
+  };
+  const auto num_entries = [&] {
+    return static_cast<uint32_t>(out->own_next_code_.size() +
+                                 out->own_next_code32_.size());
   };
   const auto push_edge = [&](QueryId query, int32_t child) {
     if (out->is_narrow_) {
@@ -217,8 +234,7 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
 
   for (size_t id = 0; id < n; ++id) {
     const Pst::Node& node = nodes[id];
-    out->own_next_begin_.push_back(
-        static_cast<uint32_t>(out->own_next_code_.size()));
+    out->own_next_begin_.push_back(num_entries());
     out->own_child_begin_.push_back(static_cast<uint32_t>(
         out->is_narrow_ ? out->narrow_.edge_query.size()
                         : out->wide_.edge_query.size()));
@@ -237,22 +253,21 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
     // the exact count — dequantized serving arithmetic is then
     // bit-identical to the full tree. Shifted nodes keep the ranking
     // (>> is monotone) and clamp sub-resolution counts to one code step so
-    // observed continuations never quantize to probability zero.
-    const uint64_t max_count = node.nexts.empty() ? 0 : node.nexts[0].count;
-    const uint8_t shift = BlockShift(max_count);
+    // observed continuations never quantize to probability zero. Exact
+    // packing never shifts (its u16 codes fit by construction).
+    const uint8_t shift =
+        exact || node.nexts.empty() ? 0 : BlockShift(node.nexts[0].count);
     out->own_count_shift_.push_back(shift);
     for (uint32_t i : kept[id]) {
       const uint64_t code = node.nexts[i].count >> shift;
-      push_entry(node.nexts[i].query,
-                 static_cast<uint16_t>(code == 0 ? 1 : code));
+      push_entry(node.nexts[i].query, code == 0 ? 1 : code);
     }
 
     for (const Pst::Edge& edge : node.children) {
       push_edge(edge.query, edge.child);
     }
   }
-  out->own_next_begin_.push_back(
-      static_cast<uint32_t>(out->own_next_code_.size()));
+  out->own_next_begin_.push_back(num_entries());
   out->own_child_begin_.push_back(static_cast<uint32_t>(
       out->is_narrow_ ? out->narrow_.edge_query.size()
                       : out->wide_.edge_query.size()));
@@ -282,6 +297,7 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
   shrink(out->narrow_);
   shrink(out->wide_);
   out->own_next_code_.shrink_to_fit();
+  out->own_next_code32_.shrink_to_fit();
   out->BindViews();
   return out;
 }
@@ -298,9 +314,13 @@ void CompactServingBase::FinalizeDerived() {
   m.count_shift = count_shift_.data();
   m.mask16 = mask16_.empty() ? nullptr : mask16_.data();
   m.mask64 = mask64_.empty() ? nullptr : mask64_.data();
-  m.next_code = next_code_.data();
+  if (next_code32_.empty()) {
+    m.next_code = next_code_.data();
+  } else {
+    m.next_code32 = next_code32_.data();
+  }
   m.num_nodes = total_count_.size();
-  m.num_entries = next_code_.size();
+  m.num_entries = num_entries();
   m.num_edges = is_narrow_ ? narrow_view_.edge_query.size()
                            : wide_view_.edge_query.size();
   m.narrow_ids = is_narrow_;
@@ -343,12 +363,11 @@ ScratchSizing CompactServingBase::ScratchHint() const {
   return model_.sizing;
 }
 
-Recommendation CompactServingBase::Recommend(std::span<const QueryId> context,
-                                             size_t top_n,
-                                             SnapshotScratch* scratch) const {
+Recommendation RecommendFromModel(const serving::ModelRef& m,
+                                  std::span<const QueryId> context,
+                                  size_t top_n, SnapshotScratch* scratch) {
   Recommendation rec;
   if (context.empty()) return rec;
-  const serving::ModelRef& m = model_;
 
   // Per-request capacity top-up off the bind-time sizing — all no-ops in
   // steady state once Prepare() warmed the scratch. The path capacity
@@ -373,11 +392,8 @@ Recommendation CompactServingBase::Recommend(std::span<const QueryId> context,
   ws.weights = scratch->weights.data();
   ws.level_weight = scratch->level_weight.data();
 
-  const bool use_dense =
-      m.dense_merge &&
-      !internal::ForceSparseMergeForTest().load(std::memory_order_relaxed);
   serving::DenseAccumulator acc;
-  if (use_dense) {
+  if (m.dense_merge) {
     acc = scratch->acc.BeginGeneration(m.sizing.dense_queries);
     ws.acc = &acc;
   } else {
@@ -392,7 +408,7 @@ Recommendation CompactServingBase::Recommend(std::span<const QueryId> context,
 
   const serving::WalkResult result = serving::RecommendTopN(
       m, context.data(), context.size(), top_n, kernels::ActiveKernels(),
-      use_dense, &ws, scratch->topn_query.data(), scratch->topn_score.data());
+      &ws, scratch->topn_query.data(), scratch->topn_score.data());
   if (!result.covered) return rec;
   rec.covered = true;
   rec.matched_length = result.matched_length;
@@ -404,6 +420,12 @@ Recommendation CompactServingBase::Recommend(std::span<const QueryId> context,
   return rec;
 }
 
+Recommendation CompactServingBase::Recommend(std::span<const QueryId> context,
+                                             size_t top_n,
+                                             SnapshotScratch* scratch) const {
+  return RecommendFromModel(model_, context, top_n, scratch);
+}
+
 bool CompactServingBase::Covers(std::span<const QueryId> context) const {
   return serving::Covers(model_, context.data(), context.size());
 }
@@ -413,6 +435,7 @@ uint64_t CompactServingBase::ServingBytes() const {
          total_count_.size_bytes() + start_count_.size_bytes() +
          count_shift_.size_bytes() + mask16_.size_bytes() +
          mask64_.size_bytes() + next_code_.size_bytes() +
+         next_code32_.size_bytes() +
          narrow_view_.flat_bytes() + wide_view_.flat_bytes() +
          FlatBytes(sigmas_) + FlatBytes(component_escape_);
 }

@@ -1,7 +1,6 @@
 #ifndef SQP_CORE_COMPACT_SNAPSHOT_H_
 #define SQP_CORE_COMPACT_SNAPSHOT_H_
 
-#include <atomic>
 #include <memory>
 #include <span>
 #include <vector>
@@ -14,13 +13,14 @@ namespace sqp {
 
 class SnapshotIo;  // core/snapshot_io.h: persists / restores the layout
 
-namespace internal {
-/// Test hook: when set, the compact walk ranks through the legacy
-/// push_back + sort-merge path instead of the dense accumulator. The
-/// kernel equivalence suite uses it to pin the dense walk bit-identical
-/// to the pre-SIMD reference; production code never touches it.
-std::atomic<bool>& ForceSparseMergeForTest();
-}  // namespace internal
+/// Serves one request through serving::RecommendTopN over `m`, with the
+/// engine's SIMD kernel dispatch and every buffer drawn from `scratch`.
+/// The ranking of every packed snapshot funnels through here; callers
+/// that want the sparse sort-merge serve a ModelRef copy with
+/// dense_merge = false (bench/hot_path, the kernel equivalence suite).
+Recommendation RecommendFromModel(const serving::ModelRef& m,
+                                  std::span<const QueryId> context,
+                                  size_t top_n, SnapshotScratch* scratch);
 
 /// Parameters of the compact serving layout.
 struct CompactOptions {
@@ -37,7 +37,8 @@ struct CompactOptions {
   /// the full model's own served lists to make that rare.) 0 = keep all.
   /// Serving top-N lists are preserved for N <= top_k on the bench corpora
   /// (tested; tab07_memory_footprint tracks the exact agreement rate in
-  /// BENCH_memory.json).
+  /// BENCH_memory.json). 0 also makes the packing exact: counts are never
+  /// shifted, and the codes widen to u32 when a count outgrows 16 bits.
   size_t top_k = 16;
 };
 
@@ -73,8 +74,8 @@ struct CompactPoolsView {
 /// bit-for-bit the snapshot it was written from.
 class CompactServingBase : public ServingSnapshot {
  public:
-  /// Mixture recommendation over the CSR tree; the same walk and Eq. 4/5
-  /// ranking as ModelSnapshot::Recommend, off the quantized counts.
+  /// Mixture recommendation over the CSR tree (RecommendFromModel over
+  /// model_ref()).
   Recommendation Recommend(std::span<const QueryId> context, size_t top_n,
                            SnapshotScratch* scratch) const override;
 
@@ -89,13 +90,20 @@ class CompactServingBase : public ServingSnapshot {
   ScratchSizing ScratchHint() const override;
 
   size_t num_nodes() const { return total_count_.size(); }
-  uint64_t num_entries() const { return next_code_.size(); }
+  uint64_t num_entries() const {
+    return next_code_.size() + next_code32_.size();
+  }
+  /// True when the count codes are u32 (exact packing of counts beyond
+  /// 16 bits; written as blob format version 2).
+  bool wide_codes() const { return !next_code32_.empty(); }
   uint64_t num_edges() const {
     return is_narrow_ ? narrow_view_.edge_query.size()
                       : wide_view_.edge_query.size();
   }
   const CompactOptions& options() const { return options_; }
   const std::vector<double>& sigmas() const { return sigmas_; }
+  /// The walk layer's raw-pointer view of this model.
+  const serving::ModelRef& model_ref() const { return model_; }
 
  protected:
   CompactServingBase() = default;
@@ -140,8 +148,11 @@ class CompactServingBase : public ServingSnapshot {
   WidePoolsView wide_view_;
   bool is_narrow_ = false;
 
-  /// Quantized count codes, parallel to the active pools' next_query.
+  /// Count codes, parallel to the active pools' next_query. Exactly one
+  /// is populated (empty models aside): u16 codes, or the u32 codes of an
+  /// exact packing whose counts outgrow 16 bits.
   std::span<const uint16_t> next_code_;
+  std::span<const uint32_t> next_code32_;
 
   // ----- bind-time derivatives (FinalizeDerived) -----
 
@@ -154,14 +165,22 @@ class CompactServingBase : public ServingSnapshot {
   std::vector<double> escape_pow_;
 };
 
-/// A serving-only MVMM variant re-packed for footprint: the shared
-/// multi-view PST flattened into CSR-style struct-of-arrays storage (one
-/// contiguous pool of next-query entries and one of child edges instead of
-/// per-node std::vectors), each node's nexts truncated to the top-K
-/// continuations, and 64-bit counts quantized to block-scaled 16-bit
-/// fixed-point: each node stores a shift such that its largest count fits
-/// 16 bits, entries store `count >> shift`. The quantized probability of an
-/// entry is (code << shift) / total.
+/// The serving form of a trained MVMM: the shared multi-view PST
+/// flattened into CSR-style struct-of-arrays storage (one contiguous pool
+/// of next-query entries and one of child edges instead of per-node
+/// std::vectors). Every snapshot the engines serve is one of these (or its
+/// memory-mapped twin); ModelSnapshot is the training artifact it is
+/// packed from.
+///
+/// Two packings, chosen by CompactOptions::top_k:
+///  - exact (top_k = 0): every entry kept, counts never shifted. The codes
+///    are u16 when every packed count fits 16 bits and u32 otherwise
+///    (count_shift is then all zero and the blob is format version 2);
+///  - footprint (top_k > 0): each node's nexts truncated to the top-K
+///    continuations, and counts quantized to block-scaled 16-bit
+///    fixed-point: each node stores a shift such that its largest count
+///    fits 16 bits, entries store `count >> shift`. The quantized
+///    probability of an entry is (code << shift) / total.
 ///
 /// Per node the layout costs two CSR offsets, the count total, the escape
 /// numerator, the block shift and the component-membership mask — no
@@ -178,7 +197,8 @@ class CompactServingBase : public ServingSnapshot {
 ///   16-bit wide whenever the model has at most 16 components)
 ///   nexts pool (top-K per node, count-descending; the root's prior is
 ///   not packed — serving never reads it):
-///     next_query  u16/u32  +  next_code u16 (count >> shift) = 4-6 B / entry
+///     next_query  u16/u32  +  next_code u16 (count >> shift)
+///                             or u32 (exact count)          = 4-8 B / entry
 ///   edge pool (all children, query-ascending):
 ///     edge_query  u16/u32  +  edge_child u16/i32             = 4-8 B / edge
 ///   (id widths are adaptive: whenever every query id and node id fits 16
@@ -187,19 +207,19 @@ class CompactServingBase : public ServingSnapshot {
 ///
 /// versus ~96 B of Pst::Node header plus 16 B per entry in the full tree.
 ///
-/// Equivalence: whenever every count of a node fits 16 bits (count_shift
-/// 0 — always true on the bench corpora), dequantization is exact and the
-/// serving arithmetic reproduces ModelSnapshot::Recommend bit-for-bit, so
-/// rankings differ from the full model only where top-K truncation removed
-/// a candidate. Larger corpora lose the shifted-out low bits: scores move
-/// by at most 2^-16 relative per entry, and sub-resolution counts clamp to
-/// one code step so observed continuations keep a positive probability.
+/// Equivalence: the exact packing reproduces the Pst-based reference walk
+/// (tests/oracle/) bit for bit on any corpus whose counts fit 32 bits —
+/// ids, score bits, matched_length and covered. The footprint packing is
+/// exact too wherever a node's counts fit 16 bits (count_shift 0 — always
+/// true on the bench corpora), so its rankings differ from the exact ones
+/// only where top-K truncation removed a candidate; larger counts lose the
+/// shifted-out low bits (scores move by at most 2^-16 relative per entry,
+/// and sub-resolution counts clamp to one code step so observed
+/// continuations keep a positive probability).
 ///
 /// It is built *from* a trained ModelSnapshot (same node ids, sigmas and
-/// weighting) and publishes through the identical RecommenderEngine seam;
-/// readers cannot tell which variant answered beyond the truncation.
-/// Serving-only: ConditionalProb / MixtureWeights / retraining stay on the
-/// full ModelSnapshot, which keeps exact counts.
+/// weighting). Serving-only: ConditionalProb / MixtureWeights stay on the
+/// ModelSnapshot, which keeps the tree.
 ///
 /// The layout is also the unit of persistence: core/snapshot_io writes it
 /// to a versioned memory-mappable blob and restores it either by copy
@@ -208,8 +228,9 @@ class CompactServingBase : public ServingSnapshot {
 class CompactSnapshot final : public CompactServingBase {
  public:
   /// Packs `full` into the compact layout. The result carries the same
-  /// version tag and serves the same recommendations up to ancestor-closed
-  /// top-K truncation and block-scaled 16-bit count rounding.
+  /// version tag and serves the reference walk's recommendations exactly
+  /// at top_k = 0, and up to ancestor-closed top-K truncation and
+  /// block-scaled 16-bit count rounding otherwise.
   static std::shared_ptr<const CompactSnapshot> FromSnapshot(
       const ModelSnapshot& full, const CompactOptions& options = {});
 
@@ -250,6 +271,7 @@ class CompactSnapshot final : public CompactServingBase {
   NarrowPools narrow_;
   WidePools wide_;
   std::vector<uint16_t> own_next_code_;
+  std::vector<uint32_t> own_next_code32_;
 };
 
 }  // namespace sqp

@@ -6,12 +6,11 @@
 namespace sqp {
 
 uint64_t PstNodeBytes(size_t context_length, size_t num_nexts,
-                      size_t num_children, bool with_view_mask) {
+                      size_t num_children) {
   uint64_t bytes = sizeof(Pst::Node);
   bytes += static_cast<uint64_t>(context_length) * sizeof(QueryId);
   bytes += static_cast<uint64_t>(num_nexts) * sizeof(NextQueryCount);
   bytes += static_cast<uint64_t>(num_children) * sizeof(Pst::Edge);
-  if (with_view_mask) bytes += sizeof(Pst::ViewMask);
   return bytes;
 }
 

@@ -19,11 +19,11 @@ namespace sqp {
 inline constexpr uint64_t kHashSlotOverheadBytes = 16;
 
 /// Flat-layout footprint of one PST node: the Pst::Node header plus its
-/// context ids, next-query count entries and child edges. Set
-/// `with_view_mask` to add the per-node membership tag of a shared
-/// multi-view tree (Pst::ViewMask).
+/// context ids, next-query count entries and child edges (a shared
+/// multi-view tree charges its per-node masks separately, see
+/// Pst::memory_bytes).
 uint64_t PstNodeBytes(size_t context_length, size_t num_nexts,
-                      size_t num_children, bool with_view_mask);
+                      size_t num_children);
 
 /// Footprint of a ContextEntry-keyed hash table: `num_states` slots (entry
 /// header + hash-slot overhead), `num_key_ids` stored context query ids

@@ -5,48 +5,16 @@
 #include <cmath>
 #include <thread>
 
+#include "core/serving_walk.h"
 #include "util/math_util.h"
 
 namespace sqp {
 namespace internal {
 
-void MergeAndRank(std::vector<ScoredQuery>* raw, size_t top_n,
-                  Recommendation* rec) {
-  // Stable, so a query's contributions are summed in push order (callers
-  // push level-major). That makes the merged doubles deterministic and is
-  // what pins the dense-accumulator walk bit-identical to this path.
-  std::stable_sort(raw->begin(), raw->end(),
-                   [](const ScoredQuery& a, const ScoredQuery& b) {
-                     return a.query < b.query;
-                   });
-  size_t out = 0;
-  for (size_t i = 0; i < raw->size();) {
-    ScoredQuery merged = (*raw)[i];
-    for (++i; i < raw->size() && (*raw)[i].query == merged.query; ++i) {
-      merged.score += (*raw)[i].score;
-    }
-    (*raw)[out++] = merged;
-  }
-  raw->resize(out);
-  RankTopN(raw, top_n, rec);
-}
+namespace {
 
-void RankTopN(std::vector<ScoredQuery>* merged, size_t top_n,
-              Recommendation* rec) {
-  const auto by_rank = [](const ScoredQuery& a, const ScoredQuery& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.query < b.query;
-  };
-  if (merged->size() > top_n) {
-    std::nth_element(merged->begin(),
-                     merged->begin() + static_cast<ptrdiff_t>(top_n),
-                     merged->end(), by_rank);
-    merged->resize(top_n);
-  }
-  std::sort(merged->begin(), merged->end(), by_rank);
-  rec->queries.assign(merged->begin(), merged->end());
-}
-
+/// The sigma-fit sample pool: the most frequent multi-query sessions,
+/// deterministically ordered (frequency desc, then lexicographic).
 std::vector<const AggregatedSession*> SelectWeightPool(
     const std::vector<AggregatedSession>& sessions, size_t sample_size) {
   // Pseudo-test sample: the most frequent multi-query sessions, with
@@ -66,6 +34,8 @@ std::vector<const AggregatedSession*> SelectWeightPool(
   return pool;
 }
 
+}  // namespace
+
 size_t SharedIndexDepth(const MvmmOptions& options) {
   size_t shared_depth = 0;
   for (const VmmOptions& c : options.components) {
@@ -75,48 +45,16 @@ size_t SharedIndexDepth(const MvmmOptions& options) {
   return shared_depth;
 }
 
-void ComputeRawWeights(MixtureWeighting weighting,
-                       const std::vector<double>& sigmas, size_t context_len,
-                       const std::vector<size_t>& matched,
-                       std::vector<double>* weights) {
-  const size_t k = matched.size();
-  weights->assign(k, 0.0);
-  switch (weighting) {
-    case MixtureWeighting::kGaussianEditDistance: {
-      for (size_t c = 0; c < k; ++c) {
-        // The matched state's context is the trailing matched[c] queries of
-        // the online context, so the edit distance degenerates to the
-        // number of dropped prefix queries.
-        const double d = static_cast<double>(context_len - matched[c]);
-        (*weights)[c] = GaussianPdf(d, sigmas[c]);
-      }
-      // With a tightly fitted sigma the Gaussian can underflow for every
-      // component (all matches far from the context); fall back to
-      // weighting by match depth so the mixture stays well defined.
-      double total = 0.0;
-      for (double w : *weights) total += w;
-      if (total <= 1e-280) {
-        for (size_t c = 0; c < k; ++c) {
-          (*weights)[c] = 1.0 + static_cast<double>(matched[c]);
-        }
-      }
-      break;
-    }
-    case MixtureWeighting::kUniform:
-      weights->assign(k, 1.0);
-      break;
-    case MixtureWeighting::kLongestMatch: {
-      size_t best = 0;
-      for (size_t m : matched) best = std::max(best, m);
-      for (size_t c = 0; c < k; ++c) {
-        (*weights)[c] = matched[c] == best ? 1.0 : 0.0;
-      }
-      break;
-    }
-  }
-}
-
 namespace {
+
+/// One pseudo-test sequence of the sigma fit (Eq. 8/9): its normalized
+/// sampling weight plus per-component edit distances and generative
+/// probabilities.
+struct WeightSample {
+  double weight = 0.0;                // P(X_T), normalized by the fitter
+  std::vector<double> edit_distance;  // d_D(X_T) per component
+  std::vector<double> sequence_prob;  // \hat{P}_D(X_T) per component
+};
 
 /// f(sigma) = sum_X P(X) log sum_D g(d_D; sigma_D) P_D(X), evaluated off a
 /// (component, integer-distance) Gaussian lookup table.
@@ -203,8 +141,10 @@ void FitDerivatives(const std::vector<WeightSample>& samples,
   }
 }
 
-}  // namespace
-
+/// Maximizes f(sigma) over `samples` by damped Newton with analytic
+/// derivatives (Eq. 7-10), with a backtracking gradient-ascent fallback.
+/// Normalizes the sample weights in place; `sigmas` carries the initial
+/// point and receives the fitted values.
 MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
                                    const MvmmOptions& options,
                                    std::vector<double>* sigmas) {
@@ -295,6 +235,118 @@ MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
   return report;
 }
 
+/// Eq. 3 chain for one pseudo-test session: every prefix q[0..i) is
+/// matched in the tree `owner` names for it, and all component states lie
+/// on that one recorded path, so the smoothed conditional is computed once
+/// per distinct matched depth instead of once per component. `root`
+/// answers depth-0 matches. The final prefix is the full context, whose
+/// matched depths also yield the edit distances (d = dropped prefix
+/// queries).
+void BuildWeightSample(const AggregatedSession& session,
+                       const MvmmOptions& options, size_t vocabulary_size,
+                       const PrefixOwner& owner, const Pst::Node& root,
+                       WeightSample* sample) {
+  const size_t k = options.components.size();
+  const std::vector<QueryId>& q = session.queries;
+  sample->edit_distance.resize(k);
+  sample->sequence_prob.assign(k, 1.0);
+
+  thread_local std::vector<int32_t> path;
+  thread_local std::vector<size_t> matched;
+  thread_local std::vector<double> cond_at;  // per matched depth, 0 = root
+
+  for (size_t i = 1; i < q.size(); ++i) {
+    const std::span<const QueryId> prefix(q.data(), i);
+    const Pst& pst = owner(prefix);
+    const size_t depth = SharedMatchDepths(pst, k, prefix, &path, &matched);
+    const std::vector<Pst::Node>& nodes = pst.nodes();
+    cond_at.assign(depth + 1, -1.0);
+    for (size_t c = 0; c < k; ++c) {
+      const size_t m = matched[c];
+      const Pst::Node& state =
+          m == 0 ? root : nodes[static_cast<size_t>(path[m - 1])];
+      if (cond_at[m] < 0.0) {
+        cond_at[m] = SmoothedProb(state.nexts, state.total_count,
+                                  vocabulary_size, q[i]);
+      }
+      const size_t dropped = i - m;
+      const double escape =
+          dropped == 0
+              ? 1.0
+              : EscapeMass(state, dropped,
+                           options.components[c].default_escape);
+      sample->sequence_prob[c] *= escape * cond_at[m];
+    }
+    if (i + 1 == q.size()) {  // prefix == full context
+      for (size_t c = 0; c < k; ++c) {
+        sample->edit_distance[c] = static_cast<double>(i - matched[c]);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
+                        const MvmmOptions& options, size_t vocabulary_size,
+                        const PrefixOwner& owner, const Pst::Node& root,
+                        std::vector<double>* sigmas) {
+  const std::vector<const AggregatedSession*> pool =
+      SelectWeightPool(sessions, options.weight_sample_size);
+  if (pool.empty()) return MvmmFitReport{};
+
+  std::vector<WeightSample> samples(pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    samples[i].weight = static_cast<double>(pool[i]->frequency);
+  }
+  // Per-sample evaluation is independent and writes only its own slot, so
+  // sharding it across workers leaves the result bit-identical.
+  const auto build = [&](size_t i) {
+    BuildWeightSample(*pool[i], options, vocabulary_size, owner, root,
+                      &samples[i]);
+  };
+  if (options.training_threads > 1 && samples.size() > 1) {
+    std::vector<std::thread> workers;
+    const size_t num_workers =
+        std::min(options.training_threads, samples.size());
+    std::atomic<size_t> next{0};
+    for (size_t w = 0; w < num_workers; ++w) {
+      workers.emplace_back([&] {
+        while (true) {
+          const size_t i = next.fetch_add(1);
+          if (i >= samples.size()) return;
+          build(i);
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+  } else {
+    for (size_t i = 0; i < samples.size(); ++i) build(i);
+  }
+  return FitSigmasFromSamples(&samples, options, sigmas);
+}
+
+size_t SharedMatchDepths(const Pst& pst, size_t num_components,
+                         std::span<const QueryId> context,
+                         std::vector<int32_t>* path,
+                         std::vector<size_t>* matched) {
+  const size_t depth = pst.MatchPath(context, path);
+  matched->assign(num_components, 0);
+  const std::vector<Pst::ViewMask>& masks = pst.view_masks();
+  for (size_t c = 0; c < num_components; ++c) {
+    const Pst::ViewMask bit = Pst::ViewMask{1} << c;
+    // View membership is ancestor-closed, so the nodes carrying this
+    // component's bit form a prefix of the path.
+    size_t m = depth;
+    while (m > 0 &&
+           (masks[static_cast<size_t>((*path)[m - 1])] & bit) == 0) {
+      --m;
+    }
+    (*matched)[c] = m;
+  }
+  return depth;
+}
+
 }  // namespace internal
 
 std::vector<VmmOptions> MvmmOptions::DefaultComponents(size_t max_depth) {
@@ -373,26 +425,11 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Build(
     snapshot->sigmas_ = snapshot->options_.fixed_sigmas;
   } else if (snapshot->options_.weighting ==
              MixtureWeighting::kGaussianEditDistance) {
-    snapshot->FitSigmas(*data.sessions);
-  }
-
-  // Publish-time scratch sizing: the engines hand this to
-  // SnapshotScratch::Prepare so steady-state serving never grows a buffer.
-  {
-    const std::vector<Pst::Node>& nodes = snapshot->pst_->nodes();
-    size_t max_depth = 0;
-    uint64_t entries = 0;
-    for (const Pst::Node& node : nodes) {
-      max_depth = std::max(max_depth, node.context.size());
-      entries += node.nexts.size();
-    }
-    snapshot->scratch_hint_ = ScratchSizing{
-        .path_depth = max_depth,
-        .num_components = k,
-        .raw_entries =
-            static_cast<size_t>(std::min<uint64_t>(entries, 4096)),
-        .dense_queries = 0,  // the full walk ranks via sort-merge
-    };
+    const Pst& pst = *snapshot->pst_;
+    snapshot->fit_report_ = internal::FitSigmas(
+        *data.sessions, snapshot->options_, snapshot->vocabulary_size_,
+        [&pst](std::span<const QueryId>) -> const Pst& { return pst; },
+        pst.nodes()[0], &snapshot->sigmas_);
   }
   return std::shared_ptr<const ModelSnapshot>(std::move(snapshot));
 }
@@ -408,202 +445,33 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::WithSigmas(
   return std::shared_ptr<const ModelSnapshot>(std::move(out));
 }
 
-size_t ModelSnapshot::SharedMatchDepths(std::span<const QueryId> context,
-                                        std::vector<int32_t>* path,
-                                        std::vector<size_t>* matched) const {
-  const size_t depth = pst_->MatchPath(context, path);
+size_t ModelSnapshot::MatchAndWeigh(std::span<const QueryId> context,
+                                    SnapshotScratch* scratch) const {
   const size_t k = num_components();
-  matched->assign(k, 0);
-  const std::vector<Pst::ViewMask>& masks = pst_->view_masks();
-  for (size_t c = 0; c < k; ++c) {
-    const Pst::ViewMask bit = Pst::ViewMask{1} << c;
-    // View membership is ancestor-closed, so the nodes carrying this
-    // component's bit form a prefix of the path.
-    size_t m = depth;
-    while (m > 0 &&
-           (masks[static_cast<size_t>((*path)[m - 1])] & bit) == 0) {
-      --m;
-    }
-    (*matched)[c] = m;
-  }
+  const size_t depth = internal::SharedMatchDepths(
+      *pst_, k, context, &scratch->path, &scratch->matched);
+  scratch->weights.resize(k);
+  serving::ComputeWeights(options_.weighting, sigmas_.data(), k,
+                          context.size(), scratch->matched.data(),
+                          scratch->weights.data());
+  serving::NormalizeWeights(scratch->weights.data(), k);
   return depth;
-}
-
-double ModelSnapshot::EscapeWeight(const Pst::Node& state, size_t context_len,
-                                   size_t matched, size_t component) const {
-  const size_t dropped = context_len - matched;
-  if (dropped == 0) return 1.0;
-  return internal::EscapeMass(
-      state, dropped, options_.components[component].default_escape);
-}
-
-void ModelSnapshot::RawWeights(size_t context_len,
-                               const std::vector<size_t>& matched,
-                               std::vector<double>* weights) const {
-  internal::ComputeRawWeights(options_.weighting, sigmas_, context_len,
-                              matched, weights);
-}
-
-void ModelSnapshot::BuildWeightSample(const AggregatedSession& session,
-                                      internal::WeightSample* sample) const {
-  const size_t k = num_components();
-  const std::vector<QueryId>& q = session.queries;
-  sample->edit_distance.resize(k);
-  sample->sequence_prob.assign(k, 1.0);
-
-  thread_local std::vector<int32_t> path;
-  thread_local std::vector<size_t> matched;
-  thread_local std::vector<double> cond_at;  // per matched depth, 0 = root
-
-  // Eq. 3 chain for every component off one tree walk per prefix: all
-  // component states lie on the recorded path, so the smoothed conditional
-  // is computed once per distinct matched depth instead of once per
-  // component. The final prefix is the full context, whose matched depths
-  // also yield the edit distances (d = dropped prefix queries).
-  const std::vector<Pst::Node>& nodes = pst_->nodes();
-  for (size_t i = 1; i < q.size(); ++i) {
-    const std::span<const QueryId> prefix(q.data(), i);
-    const size_t depth = SharedMatchDepths(prefix, &path, &matched);
-    cond_at.assign(depth + 1, -1.0);
-    for (size_t c = 0; c < k; ++c) {
-      const size_t m = matched[c];
-      const Pst::Node& state =
-          m == 0 ? nodes[0] : nodes[static_cast<size_t>(path[m - 1])];
-      if (cond_at[m] < 0.0) {
-        cond_at[m] = internal::SmoothedProb(state.nexts, state.total_count,
-                                            vocabulary_size_, q[i]);
-      }
-      sample->sequence_prob[c] *= EscapeWeight(state, i, m, c) * cond_at[m];
-    }
-    if (i + 1 == q.size()) {  // prefix == full context
-      for (size_t c = 0; c < k; ++c) {
-        sample->edit_distance[c] = static_cast<double>(i - matched[c]);
-      }
-    }
-  }
-}
-
-void ModelSnapshot::FitSigmas(const std::vector<AggregatedSession>& sessions) {
-  fit_report_ = MvmmFitReport{};
-  const std::vector<const AggregatedSession*> pool =
-      internal::SelectWeightPool(sessions, options_.weight_sample_size);
-  if (pool.empty()) return;
-
-  std::vector<internal::WeightSample> samples(pool.size());
-  for (size_t i = 0; i < pool.size(); ++i) {
-    samples[i].weight = static_cast<double>(pool[i]->frequency);
-  }
-  // Per-sample evaluation is independent and writes only its own slot, so
-  // sharding it across workers leaves the result bit-identical.
-  if (options_.training_threads > 1 && samples.size() > 1) {
-    std::vector<std::thread> workers;
-    const size_t num_workers =
-        std::min(options_.training_threads, samples.size());
-    std::atomic<size_t> next{0};
-    for (size_t w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&] {
-        while (true) {
-          const size_t i = next.fetch_add(1);
-          if (i >= samples.size()) return;
-          BuildWeightSample(*pool[i], &samples[i]);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  } else {
-    for (size_t i = 0; i < samples.size(); ++i) {
-      BuildWeightSample(*pool[i], &samples[i]);
-    }
-  }
-  fit_report_ = internal::FitSigmasFromSamples(&samples, options_, &sigmas_);
 }
 
 std::vector<double> ModelSnapshot::MixtureWeights(
     std::span<const QueryId> context, SnapshotScratch* scratch) const {
-  SharedMatchDepths(context, &scratch->path, &scratch->matched);
-  std::vector<double> weights;
-  RawWeights(context.size(), scratch->matched, &weights);
-  NormalizeInPlace(&weights);
-  return weights;
-}
-
-Recommendation ModelSnapshot::Recommend(std::span<const QueryId> context,
-                                        size_t top_n,
-                                        SnapshotScratch* scratch) const {
-  Recommendation rec;
-  if (context.empty()) return rec;
-
-  std::vector<int32_t>& path = scratch->path;
-  std::vector<size_t>& matched = scratch->matched;
-  std::vector<double>& level_weight = scratch->level_weight;
-  std::vector<ScoredQuery>& raw = scratch->raw;
-
-  const size_t depth = SharedMatchDepths(context, &path, &matched);
-  if (depth == 0) return rec;  // uncovered, like its components
-  std::vector<double>& weights = scratch->weights;
-  RawWeights(context.size(), matched, &weights);
-  NormalizeInPlace(&weights);
-
-  // Combine escape-weighted generative scores across components (paper
-  // Section IV-C.3: predicted queries of all components are re-ranked
-  // w.r.t. generative probabilities and model weights). Each component
-  // also contributes its matched state's suffix ancestors at
-  // escape-discounted weight (Eq. 5 applied to ranking): deep states often
-  // carry very few continuations, and the recursion fills the list with
-  // shallower-context candidates without disturbing the deep ranking.
-  // All matched states are nested suffixes of the context, so the per-level
-  // weights accumulate on one path and every state's count list is touched
-  // exactly once — no per-call hash map.
-  raw.clear();
-  const std::vector<Pst::Node>& nodes = pst_->nodes();
-  level_weight.assign(depth, 0.0);
-  for (size_t c = 0; c < num_components(); ++c) {
-    if (weights[c] <= 0.0 || matched[c] == 0) continue;
-    const Pst::Node& state = nodes[static_cast<size_t>(path[matched[c] - 1])];
-    double lw = weights[c] *
-                EscapeWeight(state, context.size(), matched[c], c);
-    const double esc = options_.components[c].default_escape;
-    for (size_t d = matched[c]; d >= 1; --d) {
-      level_weight[d - 1] += lw;
-      lw *= esc;
-    }
-  }
-  for (size_t d = 0; d < depth; ++d) {
-    if (level_weight[d] <= 0.0) continue;
-    const Pst::Node& node = nodes[static_cast<size_t>(path[d])];
-    if (node.total_count == 0) continue;
-    const double scale =
-        level_weight[d] / static_cast<double>(node.total_count);
-    for (const NextQueryCount& nc : node.nexts) {
-      raw.push_back(
-          ScoredQuery{nc.query, scale * static_cast<double>(nc.count)});
-    }
-  }
-  if (raw.empty()) return rec;
-
-  rec.covered = true;
-  rec.matched_length = depth;
-  internal::MergeAndRank(&raw, top_n, &rec);
-  return rec;
-}
-
-bool ModelSnapshot::Covers(std::span<const QueryId> context) const {
-  if (context.empty()) return false;
-  size_t matched = 0;
-  pst_->MatchLongestSuffix(context, &matched);
-  return matched >= 1;
+  MatchAndWeigh(context, scratch);
+  return scratch->weights;
 }
 
 double ModelSnapshot::ConditionalProb(std::span<const QueryId> context,
                                       QueryId next,
                                       SnapshotScratch* scratch) const {
-  std::vector<int32_t>& path = scratch->path;
-  std::vector<size_t>& matched = scratch->matched;
+  const size_t depth = MatchAndWeigh(context, scratch);
+  const std::vector<int32_t>& path = scratch->path;
+  const std::vector<size_t>& matched = scratch->matched;
+  const std::vector<double>& weights = scratch->weights;
   std::vector<double>& cond_at = scratch->cond_at;
-  const size_t depth = SharedMatchDepths(context, &path, &matched);
-  std::vector<double>& weights = scratch->weights;
-  RawWeights(context.size(), matched, &weights);
-  NormalizeInPlace(&weights);
   const std::vector<Pst::Node>& nodes = pst_->nodes();
   cond_at.assign(depth + 1, -1.0);
   double p = 0.0;

@@ -1,6 +1,7 @@
 #ifndef SQP_CORE_MODEL_SNAPSHOT_H_
 #define SQP_CORE_MODEL_SNAPSHOT_H_
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -10,10 +11,6 @@
 #include "core/vmm_model.h"
 
 namespace sqp {
-
-namespace internal {
-struct WeightSample;
-}  // namespace internal
 
 /// How MVMM weighs its components for an online context. The paper uses
 /// the Gaussian-of-edit-distance scheme (Eq. 4); the alternatives exist for
@@ -61,11 +58,10 @@ struct MvmmOptions {
   /// ablations replay a previously fitted weighting exactly.
   std::vector<double> fixed_sigmas;
 
-  /// Worker threads for training (paper Section V-F.1). With at most
-  /// Pst::kMaxViews components the trees come from one shared single-pass
-  /// build and the threads shard the counting pass and the sigma-fit sample
-  /// sweep; beyond that the standalone fallback shards per-component
-  /// training itself. 0 = sequential. Results are identical either way.
+  /// Worker threads for training (paper Section V-F.1). The trees come
+  /// from one shared single-pass build (at most Pst::kMaxViews components)
+  /// and the threads shard the counting pass and the sigma-fit sample
+  /// sweep. 0 = sequential. Results are identical either way.
   size_t training_threads = 0;
 
   /// Returns the paper's default component set.
@@ -101,9 +97,8 @@ struct SnapshotScratch {
   std::vector<double> level_weight;
   std::vector<double> weights;
   std::vector<double> cond_at;
-  std::vector<ScoredQuery> raw;
   /// Storage behind the compact walk's epoch-stamped dense accumulator
-  /// (core/serving_walk.h); unused by the full snapshot.
+  /// (core/serving_walk.h).
   kernels::AccumulatorStorage acc;
   /// Sparse-merge candidate buffer and ranked-list staging of the compact
   /// walk (the raw-pointer walk layer scores into these).
@@ -123,7 +118,6 @@ struct SnapshotScratch {
     cond_at.reserve(sizing.path_depth + 1);
     matched.reserve(sizing.num_components);
     weights.reserve(sizing.num_components);
-    raw.reserve(sizing.raw_entries);
     walk_raw.reserve(sizing.raw_entries);
     acc.Reserve(sizing.dense_queries);
   }
@@ -132,8 +126,10 @@ struct SnapshotScratch {
 /// The serving contract every publishable model variant implements: an
 /// *immutable*, fully-built recommendation state tagged with the corpus
 /// version it was trained against. RecommenderEngine publishes
-/// shared_ptr<const ServingSnapshot> through one atomic swap, so both the
-/// full ModelSnapshot and the quantized CompactSnapshot ride the same seam.
+/// shared_ptr<const ServingSnapshot> through one atomic swap. The variants
+/// are the packed snapshots of core/compact_snapshot.h (owned or
+/// memory-mapped), all ranking through the one serving walk; the trained
+/// ModelSnapshot below is what they are packed from.
 ///
 /// Thread-safety contract (the invariant every scaling PR builds on):
 ///  - After construction a snapshot is deeply immutable; any number of
@@ -177,13 +173,15 @@ class ServingSnapshot {
   uint64_t version_ = 0;
 };
 
-/// An immutable, fully-trained MVMM serving state: the shared multi-view
-/// PST, the fitted per-component sigma weights, and the corpus/dictionary
-/// version it was trained against. Built off to the side (possibly on a
-/// background thread) and published to readers by swapping a
-/// shared_ptr<const ServingSnapshot>; readers hold no hidden mutable state
-/// beyond their SnapshotScratch (see the ServingSnapshot contract).
-class ModelSnapshot final : public ServingSnapshot {
+/// An immutable, fully-trained MVMM: the shared multi-view PST, the fitted
+/// per-component sigma weights, and the corpus/dictionary version it was
+/// trained against. It is the training and evaluation artifact — the
+/// serving engines publish its packed form
+/// (CompactSnapshot::FromSnapshot), which ranks through the one serving
+/// walk in core/serving_walk.h. Deeply immutable after Build; the const
+/// methods are safe from any number of threads with one SnapshotScratch
+/// each.
+class ModelSnapshot final {
  public:
   /// Trains a snapshot from `data`. `options.components` (or the default
   /// set) must fit in Pst::kMaxViews — the snapshot is always a shared-tree
@@ -194,32 +192,29 @@ class ModelSnapshot final : public ServingSnapshot {
       uint64_t version = 0);
 
   /// A snapshot sharing this snapshot's tree (the Pst is shared_ptr-owned,
-  /// so no node is copied) but serving with `sigmas` instead of the fitted
-  /// ones. Returns InvalidArgument on a component-count mismatch. The
-  /// sharded trainer uses this to stamp one global sigma fit onto
+  /// so no node is copied) but weighting with `sigmas` instead of the
+  /// fitted ones. Returns InvalidArgument on a component-count mismatch.
+  /// The sharded trainer uses this to stamp one global sigma fit onto
   /// independently built per-shard trees.
   Result<std::shared_ptr<const ModelSnapshot>> WithSigmas(
       std::vector<double> sigmas) const;
 
-  /// Mixture recommendation over the shared tree (paper Section IV-C.3).
-  Recommendation Recommend(std::span<const QueryId> context, size_t top_n,
-                           SnapshotScratch* scratch) const override;
-
   /// Smoothed mixture conditional P(next | context). Full-precision only:
-  /// the compact serving variant drops the exact counts this needs.
+  /// the packed serving form drops the exact root prior this needs.
   double ConditionalProb(std::span<const QueryId> context, QueryId next,
                          SnapshotScratch* scratch) const;
 
-  /// True iff at least one component matches a non-root state.
-  bool Covers(std::span<const QueryId> context) const override;
-
-  /// Normalized per-component mixture weights for `context`.
+  /// Normalized per-component mixture weights for `context` (Eq. 4, via
+  /// serving::ComputeWeights — the serving walk's own weighting).
   std::vector<double> MixtureWeights(std::span<const QueryId> context,
                                      SnapshotScratch* scratch) const;
 
   /// Merged-tree accounting (paper Table VII / Section V-F.2).
-  ModelStats Stats() const override;
-  ScratchSizing ScratchHint() const override { return scratch_hint_; }
+  ModelStats Stats() const;
+
+  /// The corpus/dictionary generation this snapshot reflects (e.g. a
+  /// retrain counter). Carried, never interpreted.
+  uint64_t version() const { return version_; }
   const std::shared_ptr<const Pst>& pst() const { return pst_; }
   const std::vector<double>& sigmas() const { return sigmas_; }
   const MvmmFitReport& fit_report() const { return fit_report_; }
@@ -227,78 +222,54 @@ class ModelSnapshot final : public ServingSnapshot {
   size_t vocabulary_size() const { return vocabulary_size_; }
   size_t num_components() const { return options_.components.size(); }
 
-  /// One shared-tree walk: fills `path` with the matched chain and
-  /// `matched` with each component's matched length (the deepest path node
-  /// carrying the component's view bit). Returns the full-tree match depth.
-  size_t SharedMatchDepths(std::span<const QueryId> context,
-                           std::vector<int32_t>* path,
-                           std::vector<size_t>* matched) const;
-
  private:
   ModelSnapshot() = default;
 
-  /// Unnormalized component weights under the configured weighting scheme.
-  void RawWeights(size_t context_len, const std::vector<size_t>& matched,
-                  std::vector<double>* weights) const;
+  /// Normalized mixture weights into scratch->weights, off the matched
+  /// depths SharedMatchDepths left in scratch->matched. Returns the
+  /// full-tree match depth.
+  size_t MatchAndWeigh(std::span<const QueryId> context,
+                       SnapshotScratch* scratch) const;
 
-  /// Escape weight of component c for a state matched at `matched` of
-  /// `context_len` queries (Eq. 5-6, as VmmModel::Match).
-  double EscapeWeight(const Pst::Node& state, size_t context_len,
-                      size_t matched, size_t component) const;
-
-  /// Eq. 3 chain for one pseudo-test session off shared-tree walks.
-  void BuildWeightSample(const AggregatedSession& session,
-                         internal::WeightSample* sample) const;
-
-  void FitSigmas(const std::vector<AggregatedSession>& sessions);
-
+  uint64_t version_ = 0;
   MvmmOptions options_;
   std::shared_ptr<const Pst> pst_;
   std::vector<double> sigmas_;
   MvmmFitReport fit_report_;
   size_t vocabulary_size_ = 0;
-  ScratchSizing scratch_hint_;
 };
 
 namespace internal {
 
-/// One pseudo-test sequence of the sigma fit (Eq. 8/9): its normalized
-/// sampling weight plus per-component edit distances and generative
-/// probabilities.
-struct WeightSample {
-  double weight = 0.0;                // P(X_T), normalized by the fitter
-  std::vector<double> edit_distance;  // d_D(X_T) per component
-  std::vector<double> sequence_prob;  // \hat{P}_D(X_T) per component
-};
+/// Which tree answers a prefix of a sigma-fit sample session: the
+/// model's own tree when unsharded, the owning shard's tree when sharded.
+using PrefixOwner = std::function<const Pst&(std::span<const QueryId>)>;
 
-/// The sigma-fit sample pool: the most frequent multi-query sessions,
-/// deterministically ordered (frequency desc, then lexicographic).
-std::vector<const AggregatedSession*> SelectWeightPool(
-    const std::vector<AggregatedSession>& sessions, size_t sample_size);
+/// The Eq. 3 / Eq. 7-10 sigma fit: picks the pseudo-test pool (the
+/// `options.weight_sample_size` most frequent multi-query sessions,
+/// deterministically ordered), evaluates each sample's per-component edit
+/// distance and Eq. 3 sequence probability off the tree `owner` names for
+/// every prefix — with `root` standing in for every depth-0 match — and
+/// maximizes f(sigma) = sum_X P(X) log sum_D g(d_D; sigma_D) P_D(X) by
+/// damped Newton with analytic derivatives, with a backtracking
+/// gradient-ascent fallback. `sigmas` carries the initial point and
+/// receives the fitted values. The sample sweep is sharded across
+/// `options.training_threads` workers; the result is bit-identical either
+/// way. Shared by ModelSnapshot::Build and the sharded trainer
+/// (serve/sharded_engine.h), so the two fits cannot drift.
+MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
+                        const MvmmOptions& options, size_t vocabulary_size,
+                        const PrefixOwner& owner, const Pst::Node& root,
+                        std::vector<double>* sigmas);
 
-/// Maximizes f(sigma) = sum_X P(X) log sum_D g(d_D; sigma_D) P_D(X) by
-/// damped Newton with analytic derivatives (Eq. 7-10), with a backtracking
-/// gradient-ascent fallback. Normalizes the sample weights in place;
-/// `sigmas` carries the initial point and receives the fitted values.
-/// Shared by ModelSnapshot::Build and the MvmmModel standalone fallback so
-/// the two fits cannot drift.
-MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
-                                   const MvmmOptions& options,
-                                   std::vector<double>* sigmas);
-
-/// Deduplicates (query, score) contributions by query and fills the top-N
-/// ranking (score desc, query asc). `raw` is scratch owned by the caller.
-void MergeAndRank(std::vector<ScoredQuery>* raw, size_t top_n,
-                  Recommendation* rec);
-
-/// The ranking tail of MergeAndRank for already-deduplicated candidates
-/// (each query at most once in `merged`): fills the top-N ranking
-/// (score desc, query asc). The ranking order is a strict total order, so
-/// the result is independent of the input order — the dense-accumulator
-/// walk hands its touched list over in first-touch order and still ranks
-/// identically to the sort-merge path.
-void RankTopN(std::vector<ScoredQuery>* merged, size_t top_n,
-              Recommendation* rec);
+/// One shared-tree walk: fills `path` with the matched chain and
+/// `matched` with each of the `num_components` components' matched length
+/// (the deepest path node carrying the component's view bit). Returns the
+/// full-tree match depth.
+size_t SharedMatchDepths(const Pst& pst, size_t num_components,
+                         std::span<const QueryId> context,
+                         std::vector<int32_t>* path,
+                         std::vector<size_t>* matched);
 
 /// Per-thread reusable inference scratch. Scratch carries no state between
 /// calls, so sharing one instance per thread across snapshots/models is
@@ -311,16 +282,6 @@ inline SnapshotScratch& ThreadScratch() {
 /// Depth a shared kSubstring ContextIndex must cover for `options`'
 /// components (0 = unbounded), i.e. the deepest component bound.
 size_t SharedIndexDepth(const MvmmOptions& options);
-
-/// Unnormalized per-component weights for a context of `context_len`
-/// queries whose component matched lengths are `matched` (Eq. 4 plus the
-/// ablation variants, including the all-underflow depth fallback). Shared
-/// by ModelSnapshot and the MvmmModel standalone fallback so the weighting
-/// scheme cannot drift between the two paths.
-void ComputeRawWeights(MixtureWeighting weighting,
-                       const std::vector<double>& sigmas, size_t context_len,
-                       const std::vector<size_t>& matched,
-                       std::vector<double>* weights);
 
 }  // namespace internal
 }  // namespace sqp

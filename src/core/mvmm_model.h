@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/compact_snapshot.h"
 #include "core/model_snapshot.h"
 #include "core/prediction_model.h"
 #include "core/vmm_model.h"
@@ -19,11 +20,10 @@ namespace sqp {
 ///
 /// Training builds ONE maximal shared tree (Pst::BuildShared) and derives
 /// every component as a view of that tree; the trained state lives in an
-/// immutable ModelSnapshot (see core/model_snapshot.h), which online
-/// prediction walks once per query with per-thread scratch — the same
-/// snapshot type the serving layer (src/serve/) swaps atomically. Beyond
-/// Pst::kMaxViews components a standalone per-component fallback trains
-/// each VMM separately.
+/// immutable ModelSnapshot (see core/model_snapshot.h), packed exactly
+/// once into the CompactSnapshot that online prediction walks — the same
+/// serving walk the engines (src/serve/) and the slim predictor run. More
+/// than Pst::kMaxViews components is rejected with InvalidArgument.
 class MvmmModel : public PredictionModel {
  public:
   explicit MvmmModel(MvmmOptions options = {});
@@ -50,34 +50,23 @@ class MvmmModel : public PredictionModel {
   const std::vector<double>& sigmas() const { return sigmas_; }
   const MvmmFitReport& fit_report() const { return fit_report_; }
   const MvmmOptions& options() const { return options_; }
-  /// The immutable trained serving state (null when the component count
-  /// exceeds Pst::kMaxViews and components were trained standalone). The
-  /// serving layer publishes exactly this object to its reader threads.
+  /// The immutable trained state (null before a successful Train).
   const std::shared_ptr<const ModelSnapshot>& snapshot() const {
     return snapshot_;
   }
-  /// The shared multi-view tree (null when the component count exceeds
-  /// Pst::kMaxViews and components were trained standalone). Derived from
-  /// the snapshot — there is no separate tree state to keep in sync.
+  /// The shared multi-view tree (null before a successful Train). Derived
+  /// from the snapshot — there is no separate tree state to keep in sync.
   std::shared_ptr<const Pst> shared_pst() const {
     return snapshot_ ? snapshot_->pst() : nullptr;
   }
 
  private:
-  /// Standalone-fallback helpers (component count beyond Pst::kMaxViews;
-  /// the shared-tree path lives in ModelSnapshot).
-  void FitSigmas(const std::vector<AggregatedSession>& sessions);
-  void BuildWeightSample(const AggregatedSession& session,
-                         internal::WeightSample* sample) const;
-  std::vector<double> RawWeights(size_t context_len,
-                                 const std::vector<size_t>& matched) const;
-
   MvmmOptions options_;
   std::vector<std::unique_ptr<VmmModel>> components_;
   std::shared_ptr<const ModelSnapshot> snapshot_;
+  std::shared_ptr<const CompactSnapshot> packed_;
   std::vector<double> sigmas_;
   MvmmFitReport fit_report_;
-  size_t vocabulary_size_ = 0;
   bool trained_ = false;
 };
 

@@ -419,7 +419,7 @@ uint64_t Pst::memory_bytes() const {
   uint64_t bytes = 0;
   for (const Node& node : nodes_) {
     bytes += PstNodeBytes(node.context.size(), node.nexts.size(),
-                          node.children.size(), /*with_view_mask=*/false);
+                          node.children.size());
   }
   bytes += view_masks_.size() * sizeof(ViewMask);
   bytes += root_child_by_query_.size() * sizeof(int32_t);
@@ -460,7 +460,7 @@ uint64_t Pst::view_memory_bytes(size_t view) const {
       }
     }
     bytes += PstNodeBytes(node.context.size(), node.nexts.size(),
-                          view_children, /*with_view_mask=*/false);
+                          view_children);
   }
   // The standalone tree would also carry a dense root fan-out index up to
   // its own largest depth-1 query (as memory_bytes does).

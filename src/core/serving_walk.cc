@@ -1,8 +1,7 @@
 // The runtime-free compact serving walk (see serving_walk.h for the
-// layering contract). Every function here is an exact port of the
-// pre-split CompactServingBase / model_snapshot arithmetic — same
-// operations in the same order, so both consumers (engine tiers and the
-// slim embedded predictor) serve bit-identical recommendations.
+// layering contract): the one implementation of the MVMM ranking, shared
+// by the engine tiers and the slim embedded predictor, so both serve
+// bit-identical recommendations.
 //
 // Discipline: no allocation, no exceptions, no statics with dynamic
 // initializers, no iostreams. <algorithm> is used for the header-only
@@ -49,13 +48,41 @@ inline int32_t FindChildIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
       pools.edge_child[static_cast<size_t>(begin + (at - first))]);
 }
 
+/// Calls f(pools, codes) with the model's active id pools and count-code
+/// array, so the walk is instantiated once per (id width, code width) and
+/// never branches on either per entry.
+template <typename F>
+auto WithArrays(const ModelRef& m, F&& f) {
+  if (m.narrow_ids) {
+    return m.next_code32 != nullptr ? f(m.narrow, m.next_code32)
+                                    : f(m.narrow, m.next_code);
+  }
+  return m.next_code32 != nullptr ? f(m.wide, m.next_code32)
+                                  : f(m.wide, m.next_code);
+}
+
+/// One CSR run through the dispatched kernel (u16 codes) or the scalar
+/// reference kernel (u32 codes, which no SIMD tier implements).
+template <typename QT>
+inline void ScoreCodes(const KernelTable& kernels, const QT* queries,
+                       const uint16_t* codes, size_t n, double scale,
+                       DenseAccumulator* acc) {
+  ScoreRun(kernels, queries, codes, n, scale, acc);
+}
+template <typename QT>
+inline void ScoreCodes(const KernelTable&, const QT* queries,
+                       const uint32_t* codes, size_t n, double scale,
+                       DenseAccumulator* acc) {
+  ScoreRunScalar(queries, codes, n, scale, acc);
+}
+
 /// Longest-suffix walk recording the matched chain. Prefetches each
 /// matched node's edge run and nexts slice so the binary search and the
 /// scoring pass hit warm lines.
-template <typename QT, typename NT>
+template <typename QT, typename NT, typename CT>
 size_t MatchPathIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
-                   const uint32_t* context, size_t len, int32_t* path,
-                   size_t path_capacity) {
+                   const CT* codes, const uint32_t* context, size_t len,
+                   int32_t* path, size_t path_capacity) {
   if (len == 0 || path_capacity == 0) return 0;
   int32_t cur = RootChildIn(pools, context[len - 1]);
   if (cur < 0) return 0;
@@ -67,7 +94,7 @@ size_t MatchPathIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
     // it) and its nexts slice (the scoring pass streams it).
     PrefetchRead(pools.edge_query + m.child_begin[id]);
     PrefetchRead(pools.next_query + m.next_begin[id]);
-    PrefetchRead(m.next_code + m.next_begin[id]);
+    PrefetchRead(codes + m.next_begin[id]);
     const int32_t child = FindChildIn(m, pools, cur, context[len - 1 - back]);
     if (child < 0) break;
     cur = child;
@@ -85,8 +112,8 @@ inline bool RankBefore(double score_a, uint32_t query_a, double score_b,
 
 /// Streaming top-N selection into the caller's arrays, kept sorted under
 /// RankBefore. Selection under a strict total order has a unique result,
-/// so this produces exactly the list the legacy nth_element + sort
-/// (model_snapshot's RankTopN) produced from the same candidates.
+/// so this produces exactly the list a full sort of the same candidates
+/// would (the tests/oracle/ reference ranks by nth_element + sort).
 struct TopNSink {
   uint32_t* queries;
   double* scores;
@@ -114,23 +141,23 @@ struct TopNSink {
   }
 };
 
-template <typename QT, typename NT>
+template <typename QT, typename NT, typename CT>
 WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
-                       const uint32_t* context, size_t len, size_t top_n,
-                       const KernelTable& kernels, bool use_dense,
+                       const CT* codes, const uint32_t* context, size_t len,
+                       size_t top_n, const KernelTable& kernels,
                        WalkScratch* scratch, uint32_t* out_queries,
                        double* out_scores) {
   WalkResult result;
   if (len == 0) return result;
 
-  const size_t depth = MatchPathIn(m, pools, context, len, scratch->path,
-                                   scratch->path_capacity);
+  const size_t depth = MatchPathIn(m, pools, codes, context, len,
+                                   scratch->path, scratch->path_capacity);
   if (depth == 0) return result;
   const int32_t* path = scratch->path;
 
   // Per-component matched depths off the membership masks: view membership
   // is ancestor-closed, so each component's bit covers a prefix of the
-  // path (exactly ModelSnapshot::SharedMatchDepths).
+  // path (exactly internal::SharedMatchDepths over the Pst).
   const size_t k = m.num_components;
   size_t* matched = scratch->matched;
   for (size_t c = 0; c < k; ++c) {
@@ -148,8 +175,8 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
   NormalizeWeights(weights, k);
 
   // Escape-weighted per-level accumulation, then one pass over the CSR
-  // nexts slices — operation-for-operation the full snapshot's ranking
-  // loop, with `(code << shift)` standing in for the exact count.
+  // nexts slices, with `(code << shift)` standing in for the exact count
+  // (shift 0 and code == count in an exactly packed model).
   double* level_weight = scratch->level_weight;
   for (size_t d = 0; d < depth; ++d) level_weight[d] = 0.0;
   for (size_t c = 0; c < k; ++c) {
@@ -163,7 +190,7 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
     }
   }
 
-  if (use_dense) {
+  if (m.dense_merge) {
     // Dense level-major accumulation: each level's nexts run streams
     // through the scoring kernel into the epoch-stamped per-query array —
     // no per-entry push and no sort-merge. Summing per query in level
@@ -180,14 +207,14 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
         // Warm the next level's slice while this one streams.
         const size_t nn = static_cast<size_t>(path[d + 1]);
         PrefetchRead(pools.next_query + m.next_begin[nn]);
-        PrefetchRead(m.next_code + m.next_begin[nn]);
+        PrefetchRead(codes + m.next_begin[nn]);
       }
       const double scale =
           std::ldexp(level_weight[d] / static_cast<double>(m.total_count[node]),
                      m.count_shift[node]);
       const uint32_t begin = m.next_begin[node];
-      ScoreRun(kernels, pools.next_query + begin, m.next_code + begin,
-               m.next_begin[node + 1] - begin, scale, acc);
+      ScoreCodes(kernels, pools.next_query + begin, codes + begin,
+                 m.next_begin[node + 1] - begin, scale, acc);
     }
     if (acc->touched_count == 0) return result;
     TopNSink sink{out_queries, out_scores, top_n};
@@ -202,9 +229,9 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
   }
 
   // Sparse sort-merge: per-entry push, order-preserving sort by
-  // (query, seq), run summation in push order. Kept as the fallback for
-  // pathologically sparse id spaces and as the reference the kernel
-  // equivalence suite pins the dense walk against.
+  // (query, seq), run summation in push order. The path for
+  // pathologically sparse id spaces; the kernel equivalence suite pins the
+  // dense walk against it.
   RawHit* raw = scratch->raw;
   size_t num_raw = 0;
   for (size_t d = 0; d < depth; ++d) {
@@ -218,7 +245,7 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
     const uint32_t end = m.next_begin[node + 1];
     for (uint32_t i = begin; i < end && num_raw < scratch->raw_capacity;
          ++i) {
-      const uint64_t count = static_cast<uint64_t>(m.next_code[i]) << shift;
+      const uint64_t count = static_cast<uint64_t>(codes[i]) << shift;
       raw[num_raw] = RawHit{static_cast<uint32_t>(pools.next_query[i]),
                             static_cast<uint32_t>(num_raw),
                             scale * static_cast<double>(count)};
@@ -330,9 +357,9 @@ void FinalizeModelRef(ModelRef* m, double* escape_pow_storage,
 
 size_t MatchPath(const ModelRef& m, const uint32_t* context, size_t len,
                  int32_t* path, size_t path_capacity) {
-  return m.narrow_ids
-             ? MatchPathIn(m, m.narrow, context, len, path, path_capacity)
-             : MatchPathIn(m, m.wide, context, len, path, path_capacity);
+  return WithArrays(m, [&](const auto& pools, const auto* codes) {
+    return MatchPathIn(m, pools, codes, context, len, path, path_capacity);
+  });
 }
 
 bool Covers(const ModelRef& m, const uint32_t* context, size_t len) {
@@ -418,14 +445,12 @@ double EscapeWeight(const ModelRef& m, int32_t node, size_t dropped,
 
 WalkResult RecommendTopN(const ModelRef& m, const uint32_t* context,
                          size_t len, size_t top_n,
-                         const KernelTable& kernels, bool use_dense,
-                         WalkScratch* scratch, uint32_t* out_queries,
-                         double* out_scores) {
-  return m.narrow_ids
-             ? RecommendIn(m, m.narrow, context, len, top_n, kernels,
-                           use_dense, scratch, out_queries, out_scores)
-             : RecommendIn(m, m.wide, context, len, top_n, kernels,
-                           use_dense, scratch, out_queries, out_scores);
+                         const KernelTable& kernels, WalkScratch* scratch,
+                         uint32_t* out_queries, double* out_scores) {
+  return WithArrays(m, [&](const auto& pools, const auto* codes) {
+    return RecommendIn(m, pools, codes, context, len, top_n, kernels, scratch,
+                       out_queries, out_scores);
+  });
 }
 
 }  // namespace sqp::serving

@@ -20,8 +20,10 @@
 ///
 /// The arithmetic is operation-for-operation the MVMM serving math of the
 /// paper (Eq. 4-6 weighting, escape-weighted per-level accumulation,
-/// score-desc/query-asc ranking) over the quantized compact layout; the
-/// equivalence is pinned by tests/slim/ and the golden blob sweep, which
+/// score-desc/query-asc ranking) over the compact layout, and it is the
+/// only copy of that math in src/. Over an exactly packed model
+/// (CompactOptions::top_k = 0) it reproduces the Pst-based reference walk
+/// in tests/oracle/ bit for bit; tests/slim/ and the golden blob sweep
 /// serve the same blob through both consumers and compare score bits.
 ///
 /// Freestanding-ish discipline (keep it that way):
@@ -127,9 +129,10 @@ struct KernelTable {
 
 /// Portable reference kernel: one widening conversion and one multiply per
 /// entry, merged in index order — the bit-exact oracle every SIMD tier is
-/// pinned against.
-template <typename QT>
-void ScoreRunScalar(const QT* queries, const uint16_t* codes, size_t n,
+/// pinned against. It is also the only kernel for u32 count codes, which
+/// no SIMD tier implements.
+template <typename QT, typename CT = uint16_t>
+void ScoreRunScalar(const QT* queries, const CT* codes, size_t n,
                     double scale, DenseAccumulator* acc) {
   for (size_t i = 0; i < n; ++i) {
     acc->Add(queries[i], scale * static_cast<double>(codes[i]));
@@ -203,8 +206,11 @@ struct ModelRef {
   const uint8_t* count_shift = nullptr;   // num_nodes
   const uint16_t* mask16 = nullptr;       // num_nodes, or null
   const uint64_t* mask64 = nullptr;       // num_nodes, or null
-  /// Quantized count codes, parallel to the active pools' next_query.
-  const uint16_t* next_code = nullptr;    // num_entries
+  /// Count codes, parallel to the active pools' next_query. Exactly one is
+  /// non-null: u16 codes (block-shifted by count_shift) or u32 codes (the
+  /// exact counts of a model whose counts outgrow 16 bits; never shifted).
+  const uint16_t* next_code = nullptr;    // num_entries, or null
+  const uint32_t* next_code32 = nullptr;  // num_entries, or null
   size_t num_nodes = 0;
   size_t num_entries = 0;
   size_t num_edges = 0;
@@ -315,18 +321,19 @@ struct WalkResult {
   bool covered = false;       // false = no candidates (count == 0)
 };
 
-/// One full recommendation: longest-suffix match, Eq. 4/5 mixture
+/// One full recommendation — the only implementation of the paper's
+/// ranking (Section IV-C.3): longest-suffix match, Eq. 4/5 mixture
 /// weighting, escape-weighted per-level accumulation over the CSR nexts
 /// slices, and top-N ranking (score desc, query asc) into the caller's
-/// arrays (capacity `top_n` each). `use_dense` selects the dense
+/// arrays (capacity `top_n` each). m.dense_merge selects the dense
 /// epoch-stamped accumulation (requires scratch->acc) over the sparse
-/// sort-merge (requires scratch->raw); both rank identically — the engine
-/// keeps a test hook on the choice, slim follows m.dense_merge.
+/// sort-merge (requires scratch->raw); both rank identically, so a
+/// caller wanting the sort-merge serves a ModelRef copy with
+/// dense_merge = false.
 WalkResult RecommendTopN(const ModelRef& m, const uint32_t* context,
                          size_t len, size_t top_n,
-                         const KernelTable& kernels, bool use_dense,
-                         WalkScratch* scratch, uint32_t* out_queries,
-                         double* out_scores);
+                         const KernelTable& kernels, WalkScratch* scratch,
+                         uint32_t* out_queries, double* out_scores);
 
 }  // namespace sqp::serving
 

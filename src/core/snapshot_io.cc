@@ -39,8 +39,12 @@ constexpr size_t kMetaSize = serving::kBlobMetaSize;
 
 constexpr uint32_t kFlagNarrowIds = serving::kBlobFlagNarrowIds;
 constexpr uint32_t kFlagNarrowMasks = serving::kBlobFlagNarrowMasks;
+constexpr uint32_t kFlagWideCodes = serving::kBlobFlagWideCodes;
 
 static_assert(kSnapshotFormatVersion == serving::kBlobFormatVersion,
+              "snapshot_io and blob_format disagree on the format version");
+static_assert(kSnapshotFormatVersionWideCodes ==
+                  serving::kBlobFormatVersionWideCodes,
               "snapshot_io and blob_format disagree on the format version");
 static_assert(sizeof(kSnapshotMagic) == sizeof(serving::kBlobMagic));
 
@@ -82,6 +86,7 @@ struct ParsedBlob {
   MixtureWeighting weighting = MixtureWeighting::kGaussianEditDistance;
   bool narrow_ids = false;
   bool narrow_masks = false;
+  bool wide_codes = false;
   uint64_t top_k = 0;
   uint64_t num_nodes = 0;
   uint64_t num_entries = 0;
@@ -117,7 +122,8 @@ Status ParseBlob(std::span<const uint8_t> blob, const std::string& path,
     return Status::InvalidArgument(
         "unsupported snapshot format version " +
         std::to_string(layout.format_version) + " (this build reads " +
-        std::to_string(kSnapshotFormatVersion) + "): " + path);
+        std::to_string(kSnapshotFormatVersion) + " and " +
+        std::to_string(kSnapshotFormatVersionWideCodes) + "): " + path);
   }
   if (err != BlobError::kNone) {
     return Corrupt(serving::BlobErrorMessage(err), path);
@@ -127,6 +133,7 @@ Status ParseBlob(std::span<const uint8_t> blob, const std::string& path,
   out->weighting = layout.weighting;
   out->narrow_ids = layout.narrow_ids;
   out->narrow_masks = layout.narrow_masks;
+  out->wide_codes = layout.wide_codes;
   out->top_k = layout.top_k;
   out->num_nodes = layout.num_nodes;
   out->num_entries = layout.num_entries;
@@ -297,6 +304,7 @@ Status SnapshotIo::Save(const CompactSnapshot& snapshot,
   uint32_t flags = 0;
   if (snapshot.is_narrow_) flags |= kFlagNarrowIds;
   if (narrow_masks) flags |= kFlagNarrowMasks;
+  if (snapshot.wide_codes()) flags |= kFlagWideCodes;
   StoreLE32(meta.data() + 12, flags);
   StoreLE64(meta.data() + 16, snapshot.options_.top_k);
   StoreLE64(meta.data() + 24, snapshot.num_nodes());
@@ -338,7 +346,11 @@ Status SnapshotIo::Save(const CompactSnapshot& snapshot,
     push(kSecRootIndex,
          std::span<const uint32_t>(snapshot.wide_.root_child_by_query));
   }
-  push(kSecNextCode, std::span<const uint16_t>(snapshot.own_next_code_));
+  if (snapshot.wide_codes()) {
+    push(kSecNextCode, std::span<const uint32_t>(snapshot.own_next_code32_));
+  } else {
+    push(kSecNextCode, std::span<const uint16_t>(snapshot.own_next_code_));
+  }
 
   // Lay the sections out 64-byte aligned after the table, then assemble.
   const size_t table_bytes = sections.size() * kSectionRowSize;
@@ -354,7 +366,9 @@ Status SnapshotIo::Save(const CompactSnapshot& snapshot,
 
   std::vector<uint8_t> blob(static_cast<size_t>(file_size), 0);
   std::memcpy(blob.data(), kSnapshotMagic, sizeof(kSnapshotMagic));
-  StoreLE32(blob.data() + 8, kSnapshotFormatVersion);
+  StoreLE32(blob.data() + 8, snapshot.wide_codes()
+                                 ? kSnapshotFormatVersionWideCodes
+                                 : kSnapshotFormatVersion);
   StoreLE32(blob.data() + 12, static_cast<uint32_t>(sections.size()));
   StoreLE64(blob.data() + 16, file_size);
   for (size_t i = 0; i < sections.size(); ++i) {
@@ -400,7 +414,11 @@ Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Load(
   CopyArray(parsed.count_shift, &out->own_count_shift_);
   CopyArray(parsed.mask16, &out->own_mask16_);
   CopyArray(parsed.mask64, &out->own_mask64_);
-  CopyArray(parsed.next_code, &out->own_next_code_);
+  if (parsed.wide_codes) {
+    CopyArray(parsed.next_code, &out->own_next_code32_);
+  } else {
+    CopyArray(parsed.next_code, &out->own_next_code_);
+  }
   if (parsed.narrow_ids) {
     CopyArray(parsed.next_query, &out->narrow_.next_query);
     CopyArray(parsed.edge_query, &out->narrow_.edge_query);
@@ -575,7 +593,11 @@ Result<std::shared_ptr<const MappedCompactSnapshot>> SnapshotIo::Map(
   out->count_shift_ = TypedSpan<uint8_t>(parsed.count_shift);
   out->mask16_ = TypedSpan<uint16_t>(parsed.mask16);
   out->mask64_ = TypedSpan<Pst::ViewMask>(parsed.mask64);
-  out->next_code_ = TypedSpan<uint16_t>(parsed.next_code);
+  if (parsed.wide_codes) {
+    out->next_code32_ = TypedSpan<uint32_t>(parsed.next_code);
+  } else {
+    out->next_code_ = TypedSpan<uint16_t>(parsed.next_code);
+  }
   if (parsed.narrow_ids) {
     out->narrow_view_ = CompactPoolsView<uint16_t, uint16_t>{
         TypedSpan<uint16_t>(parsed.next_query),

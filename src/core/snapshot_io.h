@@ -27,8 +27,9 @@
 /// — never undefined behavior.
 ///
 /// The format version is a compatibility contract: readers accept exactly
-/// kSnapshotFormatVersion and CI pins a committed golden blob (see
-/// tests/data/) so silent layout drift fails the build.
+/// kSnapshotFormatVersion and kSnapshotFormatVersionWideCodes, and CI pins
+/// a committed golden blob of each (see tests/data/) so silent layout
+/// drift fails the build.
 
 #include <cstdint>
 #include <memory>
@@ -40,8 +41,12 @@
 
 namespace sqp {
 
-/// On-disk format version this build writes and accepts.
+/// On-disk format versions this build writes and accepts: version 1 for
+/// u16 count codes, version 2 for the u32 codes of an exact packing whose
+/// counts outgrow 16 bits (see serving::kBlobFormatVersionWideCodes). A
+/// u16 blob is always written as version 1.
 inline constexpr uint32_t kSnapshotFormatVersion = 1;
+inline constexpr uint32_t kSnapshotFormatVersionWideCodes = 2;
 
 /// The 8-byte magic at offset 0 of every snapshot blob.
 inline constexpr char kSnapshotMagic[8] = {'S', 'Q', 'P', 'S',

@@ -98,16 +98,17 @@ struct EngineStats {
   /// Per-lane QoS counters (admitted / shed / expired / degraded) and
   /// latency histograms, plus the admission EWMA. Populated by batch
   /// traffic and by deadline-bounded single queries; unbounded single
-  /// queries (the legacy spelling included) take the fast path and stay
-  /// out of it to keep the hot path clock-free.
+  /// queries take the fast path and stay out of it to keep the hot path
+  /// clock-free.
   AdmissionStats admission;
 };
 
 /// The concurrent serving front-end of the recommender: any number of
 /// threads call Recommend / RecommendMany while retraining publishes fresh
 /// snapshots through a lock-free atomic shared_ptr swap. The engine serves
-/// any ServingSnapshot variant — the full ModelSnapshot or the quantized
-/// CompactSnapshot — through the identical seam; readers never know which.
+/// any ServingSnapshot variant — an exact or quantized CompactSnapshot, or
+/// a memory-mapped blob — through the identical seam; readers never know
+/// which.
 ///
 /// Consistency contract (the one-published-snapshot invariant): every query
 /// is answered from exactly one fully-built, fully-published snapshot — a
@@ -128,7 +129,7 @@ class RecommenderEngine {
   RecommenderEngine& operator=(const RecommenderEngine&) = delete;
 
   /// Atomically swaps the serving snapshot. Callers build the snapshot off
-  /// to the side (ModelSnapshot::Build, optionally re-packed by
+  /// to the side (ModelSnapshot::Build, packed by
   /// CompactSnapshot::FromSnapshot, typically via a Retrainer) and publish
   /// it here; in-flight queries finish on the snapshot they grabbed. Safe
   /// from any thread; never blocks readers.
@@ -150,12 +151,10 @@ class RecommenderEngine {
   /// Version of the current snapshot, 0 before the first Publish.
   uint64_t current_version() const;
 
-  /// THE single-query serving path (canonical signature — every other
-  /// Recommend spelling is an inline wrapper over this one): one snapshot
-  /// grab, one shared-tree walk, per-thread scratch. With an unbounded
-  /// deadline (the default ServeOptions) the request takes a fast path
-  /// with no clock reads or QoS accounting — the legacy hot-path
-  /// contract; with a bounded one it may be shed on arrival (status
+  /// THE single-query serving path: one snapshot grab, one shared-tree
+  /// walk, per-thread scratch. With an unbounded deadline (the default
+  /// ServeOptions) the request takes a fast path with no clock reads or
+  /// QoS accounting; with a bounded one it may be shed on arrival (status
   /// kDeadlineExceeded) or served with a reduced top_n under overload
   /// (degraded = true). Single queries never wait for the batch slot —
   /// the deadline only guards against serving a request that is already
@@ -163,11 +162,12 @@ class RecommenderEngine {
   ServeResult Recommend(ContextRef context, size_t top_n,
                         const ServeOptions& options) const;
 
-  /// THE batched serving path (canonical signature): answers every
-  /// context from ONE snapshot, fanning the batch out across the worker
-  /// pool (small batches run inline). Results are positionally aligned
-  /// with `contexts`. With an unbounded deadline results are
-  /// bit-identical to the legacy RecommendMany; with a bounded one the
+  /// THE batched serving path: answers every context from ONE snapshot,
+  /// fanning the batch out across the worker pool (small batches run
+  /// inline). Results are positionally aligned with `contexts`. With an
+  /// unbounded deadline every item is served (never shed, never
+  /// degraded; pool-sized batches belong on the bulk lane so they never
+  /// starve interactive traffic); with a bounded one the
   /// batch may be shed whole at admission (queue full or deadline
   /// unmeetable given the EWMA backlog estimate), cut mid-batch when the
   /// deadline expires (partial results, remaining items marked
@@ -176,49 +176,10 @@ class RecommenderEngine {
   BatchResult RecommendMany(std::span<const ContextRef> contexts,
                             size_t top_n, const ServeOptions& options) const;
 
-  /// Canonical batch signature for callers holding owned query sequences.
+  /// The batched path for callers holding owned query sequences.
   BatchResult RecommendMany(const std::vector<std::vector<QueryId>>& contexts,
                             size_t top_n, const ServeOptions& options) const {
     return RecommendMany(AsRefs(contexts), top_n, options);
-  }
-
-  // ------------------------------------------------- legacy signatures
-  // Thin wrappers over the canonical ServeOptions paths, kept for the
-  // pre-QoS call sites: unbounded deadline, version-out instead of a
-  // result struct, plain Recommendation vectors. Bit-identical answers.
-
-  /// Legacy single-query spelling. `served_version`, when non-null,
-  /// receives the version of the snapshot that answered (0 if none) —
-  /// provenance for callers that audit which model produced a result.
-  Recommendation Recommend(ContextRef context, size_t top_n,
-                           uint64_t* served_version = nullptr) const {
-    ServeResult served = Recommend(context, top_n, ServeOptions{});
-    if (served_version != nullptr) *served_version = served.served_version;
-    return std::move(served.recommendation);
-  }
-
-  /// Legacy batch spelling: never shed, never degraded, waits however
-  /// long the backlog takes. Pool-sized batches ride the bulk lane so
-  /// they never starve interactive traffic.
-  std::vector<Recommendation> RecommendMany(
-      std::span<const ContextRef> contexts, size_t top_n,
-      uint64_t* served_version = nullptr) const {
-    ServeOptions options;
-    options.lane = contexts.size() >= options_.min_batch_fanout
-                       ? QosLane::kBulk
-                       : QosLane::kInteractive;
-    BatchResult batch = RecommendMany(contexts, top_n, options);
-    if (served_version != nullptr) *served_version = batch.served_version;
-    return std::move(batch.results);
-  }
-
-  /// Legacy batch spelling over owned query sequences.
-  std::vector<Recommendation> RecommendMany(
-      const std::vector<std::vector<QueryId>>& contexts, size_t top_n,
-      uint64_t* served_version = nullptr) const {
-    std::vector<ContextRef> refs = AsRefs(contexts);
-    return RecommendMany(std::span<const ContextRef>(refs), top_n,
-                         served_version);
   }
 
   size_t num_threads() const { return pool_.num_lanes(); }

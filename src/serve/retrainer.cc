@@ -21,18 +21,20 @@ Retrainer::~Retrainer() { Stop(); }
 
 Status Retrainer::PublishAndPersist(
     std::shared_ptr<const ModelSnapshot> full, uint64_t version) {
-  // The compact re-pack is needed when it is the published variant or
-  // when a blob must be persisted (the on-disk format IS the compact
-  // layout); one pack serves both purposes.
-  std::shared_ptr<const CompactSnapshot> compact;
-  if (options_.publish_compact || !options_.persist_path.empty()) {
-    compact = CompactSnapshot::FromSnapshot(*full, options_.compact);
+  // The engine serves the exact packing unless publish_compact asks for
+  // the `compact` one; a persisted blob is always the `compact` packing.
+  // One pack serves both whenever they coincide.
+  const CompactOptions published =
+      options_.publish_compact ? options_.compact : CompactOptions{.top_k = 0};
+  const std::shared_ptr<const CompactSnapshot> packed =
+      CompactSnapshot::FromSnapshot(*full, published);
+  std::shared_ptr<const CompactSnapshot> persisted;
+  if (!options_.persist_path.empty()) {
+    persisted = published.top_k == options_.compact.top_k
+                    ? packed
+                    : CompactSnapshot::FromSnapshot(*full, options_.compact);
   }
-  if (options_.publish_compact) {
-    engine_->Publish(compact);
-  } else {
-    engine_->Publish(std::move(full));
-  }
+  engine_->Publish(packed);
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
   // The published version must be visible the moment the engine swap is
   // live — before the persist loop and before after_persist — so hook
@@ -50,7 +52,7 @@ Status Retrainer::PublishAndPersist(
     Status persist;
     std::chrono::milliseconds backoff = options_.persist_retry_backoff;
     for (size_t attempt = 0;; ++attempt) {
-      persist = SnapshotIo::Save(*compact, options_.persist_path);
+      persist = SnapshotIo::Save(*persisted, options_.persist_path);
       if (persist.ok()) break;
       if (attempt >= options_.persist_max_retries) {
         persist_failures_.fetch_add(1, std::memory_order_relaxed);

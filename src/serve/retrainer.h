@@ -39,11 +39,12 @@ struct RetrainerOptions {
   /// Background mode: how often the worker checks for pending sessions.
   std::chrono::milliseconds poll_interval{20};
 
-  /// Publish each rebuild as a CompactSnapshot (CSR layout, top-K nexts,
-  /// 16-bit quantized probabilities) instead of the full ModelSnapshot —
-  /// the serving-only deployment of the ROADMAP "Memory" item. The rebuild
-  /// itself still trains the full model (retraining needs exact counts);
-  /// only the published serving state is re-packed.
+  /// Publish each rebuild packed with `compact` (CSR layout, top-K nexts,
+  /// 16-bit quantized probabilities) instead of the exact packing
+  /// (CompactOptions{.top_k = 0}), which serves the trained model's own
+  /// answers bit for bit. The rebuild itself still trains the full model
+  /// (retraining needs exact counts); only the published serving state is
+  /// packed.
   bool publish_compact = false;
 
   /// Layout parameters used when publish_compact is set and for persisted
@@ -91,9 +92,9 @@ struct RetrainerStats {
 /// The streaming retrain/swap engine: consumes appended session batches,
 /// extends the counting index incrementally (no from-scratch recount),
 /// rebuilds the shared PST + sigma fit off to the side, and publishes the
-/// resulting immutable snapshot to a RecommenderEngine atomically — the
-/// full ModelSnapshot, or its CompactSnapshot re-pack when
-/// RetrainerOptions::publish_compact is set.
+/// resulting immutable snapshot to a RecommenderEngine atomically — its
+/// exact CompactSnapshot packing, or the RetrainerOptions::compact packing
+/// when RetrainerOptions::publish_compact is set.
 /// Serving is never blocked: readers keep answering from the previous
 /// snapshot for the whole rebuild.
 ///
@@ -180,8 +181,8 @@ class Retrainer {
   Status RebuildAndPublish(std::vector<AggregatedSession> fresh);
   void BackgroundLoop();
   size_t EffectiveVocabulary() const;
-  /// Publishes `full` (or its compact re-pack when publish_compact is set)
-  /// to the engine, advances published_version() to `version` as soon as
+  /// Publishes the exact packing of `full` (or its `compact` packing when
+  /// publish_compact is set) to the engine, advances published_version() to `version` as soon as
   /// the swap is live (persist failures never roll a publish back, so the
   /// version moves with the publish — and after_persist observers see the
   /// version the blob they are pinning carries), then persists the compact

@@ -49,102 +49,6 @@ Pst::Node GlobalRootState(const std::vector<AggregatedSession>& corpus) {
   return root;
 }
 
-/// ModelSnapshot::BuildWeightSample with the tree walk routed to the
-/// owning shard per prefix: every matched state of prefix [q1..qi] lives
-/// in shard(q_{i-1})'s tree (bit-identical to the unsharded tree there),
-/// and depth-0 matches read the reconstructed global root. Keeping the
-/// arithmetic order identical to the unsharded path makes the fitted
-/// sigmas — and with them every served score — exactly equal.
-void BuildWeightSampleSharded(
-    std::span<const std::shared_ptr<const ModelSnapshot>> shards,
-    const Pst::Node& global_root, const MvmmOptions& options,
-    size_t vocabulary_size, const AggregatedSession& session,
-    internal::WeightSample* sample) {
-  const size_t k = options.components.size();
-  const std::vector<QueryId>& q = session.queries;
-  sample->edit_distance.resize(k);
-  sample->sequence_prob.assign(k, 1.0);
-
-  thread_local std::vector<int32_t> path;
-  thread_local std::vector<size_t> matched;
-  thread_local std::vector<double> cond_at;
-
-  const uint32_t num_shards = static_cast<uint32_t>(shards.size());
-  for (size_t i = 1; i < q.size(); ++i) {
-    const std::span<const QueryId> prefix(q.data(), i);
-    const ModelSnapshot& owner =
-        *shards[ShardOfContext(prefix, num_shards)];
-    const size_t depth = owner.SharedMatchDepths(prefix, &path, &matched);
-    const std::vector<Pst::Node>& nodes = owner.pst()->nodes();
-    cond_at.assign(depth + 1, -1.0);
-    for (size_t c = 0; c < k; ++c) {
-      const size_t m = matched[c];
-      const Pst::Node& state =
-          m == 0 ? global_root : nodes[static_cast<size_t>(path[m - 1])];
-      if (cond_at[m] < 0.0) {
-        cond_at[m] = internal::SmoothedProb(state.nexts, state.total_count,
-                                            vocabulary_size, q[i]);
-      }
-      const size_t dropped = i - m;
-      const double escape =
-          dropped == 0 ? 1.0
-                       : internal::EscapeMass(
-                             state, dropped,
-                             options.components[c].default_escape);
-      sample->sequence_prob[c] *= escape * cond_at[m];
-    }
-    if (i + 1 == q.size()) {  // prefix == full context
-      for (size_t c = 0; c < k; ++c) {
-        sample->edit_distance[c] = static_cast<double>(i - matched[c]);
-      }
-    }
-  }
-}
-
-std::vector<double> FitShardedSigmas(
-    const std::vector<AggregatedSession>& corpus,
-    std::span<const std::shared_ptr<const ModelSnapshot>> shards,
-    const MvmmOptions& options, size_t vocabulary_size) {
-  std::vector<double> sigmas(options.components.size(),
-                             options.initial_sigma);
-  const std::vector<const AggregatedSession*> pool =
-      internal::SelectWeightPool(corpus, options.weight_sample_size);
-  if (pool.empty()) return sigmas;
-
-  const Pst::Node global_root = GlobalRootState(corpus);
-  std::vector<internal::WeightSample> samples(pool.size());
-  for (size_t i = 0; i < pool.size(); ++i) {
-    samples[i].weight = static_cast<double>(pool[i]->frequency);
-  }
-  // Per-sample evaluation is independent and writes only its own slot, so
-  // sharding it across workers leaves the result bit-identical — the same
-  // argument as the unsharded FitSigmas pass.
-  if (options.training_threads > 1 && samples.size() > 1) {
-    std::vector<std::thread> workers;
-    const size_t num_workers =
-        std::min(options.training_threads, samples.size());
-    std::atomic<size_t> next{0};
-    for (size_t w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&] {
-        while (true) {
-          const size_t i = next.fetch_add(1);
-          if (i >= samples.size()) return;
-          BuildWeightSampleSharded(shards, global_root, options,
-                                   vocabulary_size, *pool[i], &samples[i]);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  } else {
-    for (size_t i = 0; i < samples.size(); ++i) {
-      BuildWeightSampleSharded(shards, global_root, options,
-                               vocabulary_size, *pool[i], &samples[i]);
-    }
-  }
-  internal::FitSigmasFromSamples(&samples, options, &sigmas);
-  return sigmas;
-}
-
 }  // namespace
 
 // ----------------------------------------------------------------- engine
@@ -464,8 +368,23 @@ Result<ShardedTrainResult> TrainShardedSnapshots(
   }
 
   if (needs_global_fit) {
-    result.sigmas = FitShardedSigmas(corpus, result.shards, model,
-                                     result.vocabulary_size);
+    // The Eq. 3 chains of the undivided corpus, each prefix routed to the
+    // owning shard's tree: every matched state of prefix [q1..qi] lives in
+    // shard(q_{i-1})'s tree (bit-identical to the unsharded tree there),
+    // and depth-0 matches read the reconstructed global root. The fitted
+    // sigmas — and with them every served score — equal the unsharded
+    // fit exactly.
+    const Pst::Node global_root = GlobalRootState(corpus);
+    const auto& shards = result.shards;
+    result.sigmas.assign(k, model.initial_sigma);
+    internal::FitSigmas(
+        corpus, model, result.vocabulary_size,
+        [&shards](std::span<const QueryId> prefix) -> const Pst& {
+          return *shards[ShardOfContext(
+                             prefix, static_cast<uint32_t>(shards.size()))]
+                      ->pst();
+        },
+        global_root, &result.sigmas);
     for (auto& shard : result.shards) {
       Result<std::shared_ptr<const ModelSnapshot>> stamped =
           shard->WithSigmas(result.sigmas);
@@ -581,7 +500,9 @@ Status ShardedRetrainerSet::Bootstrap(std::vector<AggregatedSession> corpus) {
     // persist — the trained (empty) snapshot directly; the retrainer
     // bootstraps lazily on the shard's first routed sessions.
     if (trained->corpora[s].empty()) {
-      engine_->PublishShard(s, trained->shards[s]);
+      engine_->PublishShard(
+          s, CompactSnapshot::FromSnapshot(*trained->shards[s],
+                                           CompactOptions{.top_k = 0}));
       if (!options.persist_path.empty()) {
         note_error(SnapshotIo::Save(
             *CompactSnapshot::FromSnapshot(*trained->shards[s],

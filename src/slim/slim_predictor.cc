@@ -101,7 +101,11 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
   } else {
     m.mask64 = SectionAs<uint64_t>(bytes, layout, serving::kSecMask64);
   }
-  m.next_code = SectionAs<uint16_t>(bytes, layout, serving::kSecNextCode);
+  if (layout.wide_codes) {
+    m.next_code32 = SectionAs<uint32_t>(bytes, layout, serving::kSecNextCode);
+  } else {
+    m.next_code = SectionAs<uint16_t>(bytes, layout, serving::kSecNextCode);
+  }
   m.num_nodes = static_cast<size_t>(layout.num_nodes);
   m.num_entries = static_cast<size_t>(layout.num_entries);
   m.num_edges = static_cast<size_t>(layout.num_edges);
@@ -255,8 +259,8 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_recommend(
   // Ranking writes straight into the caller's arrays — no copy, no
   // allocation.
   const serving::WalkResult result = serving::RecommendTopN(
-      m, context, context_len, top_n, serving::ScalarKernels(),
-      m.dense_merge, &ws, out_queries, out_scores);
+      m, context, context_len, top_n, serving::ScalarKernels(), &ws,
+      out_queries, out_scores);
 
   if (!result.covered) return SQP_STATUS_NOT_FOUND;
   *out_count = result.count;

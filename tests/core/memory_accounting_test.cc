@@ -14,12 +14,10 @@ namespace sqp {
 namespace {
 
 TEST(MemoryAccountingTest, PstNodeBytesFormula) {
-  EXPECT_EQ(PstNodeBytes(0, 0, 0, false), sizeof(Pst::Node));
-  EXPECT_EQ(PstNodeBytes(3, 5, 2, false),
+  EXPECT_EQ(PstNodeBytes(0, 0, 0), sizeof(Pst::Node));
+  EXPECT_EQ(PstNodeBytes(3, 5, 2),
             sizeof(Pst::Node) + 3 * sizeof(QueryId) +
                 5 * sizeof(NextQueryCount) + 2 * sizeof(Pst::Edge));
-  EXPECT_EQ(PstNodeBytes(0, 0, 0, true),
-            sizeof(Pst::Node) + sizeof(Pst::ViewMask));
 }
 
 TEST(MemoryAccountingTest, ContextTableBytesFormula) {
@@ -48,7 +46,7 @@ TEST(MemoryAccountingTest, PstMemoryBytesIsSumOfNodeFootprints) {
   QueryId max_root_query = 0;
   for (const Pst::Node& node : pst.nodes()) {
     expected += PstNodeBytes(node.context.size(), node.nexts.size(),
-                             node.children.size(), /*with_view_mask=*/false);
+                             node.children.size());
   }
   for (const Pst::Edge& edge : pst.root().children) {
     max_root_query = edge.query;  // sorted ascending
@@ -70,9 +68,8 @@ TEST(MemoryAccountingTest, SharedTreeChargesOneMaskPerNode) {
 
   uint64_t without_masks = 0;
   for (const Pst::Node& node : shared.nodes()) {
-    without_masks +=
-        PstNodeBytes(node.context.size(), node.nexts.size(),
-                     node.children.size(), /*with_view_mask=*/false);
+    without_masks += PstNodeBytes(node.context.size(), node.nexts.size(),
+                                  node.children.size());
   }
   const uint64_t root_index =
       (static_cast<uint64_t>(shared.root().children.back().query) + 1) *

@@ -459,7 +459,8 @@ TEST(SnapshotIoTest, EngineColdBootsFromBlobAndKeepsServingOnBadReload) {
   SnapshotScratch scratch;
   for (const std::vector<QueryId>& context : PrefixContexts(corpus, 120)) {
     const Recommendation want = compact->Recommend(context, 10, &scratch);
-    const Recommendation got = engine.Recommend(context, 10);
+    const Recommendation got =
+        engine.Recommend(context, 10, ServeOptions{}).recommendation;
     ASSERT_EQ(want.covered, got.covered);
     ASSERT_EQ(want.queries.size(), got.queries.size());
     for (size_t i = 0; i < want.queries.size(); ++i) {
@@ -519,8 +520,10 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
     ASSERT_TRUE(replica.LoadAndPublish(file.path()).ok());
     EXPECT_EQ(replica.current_version(), 2u);
     for (const std::vector<QueryId>& context : PrefixContexts(fresh, 60)) {
-      const Recommendation a = engine.Recommend(context, 10);
-      const Recommendation b = replica.Recommend(context, 10);
+      const Recommendation a =
+          engine.Recommend(context, 10, ServeOptions{}).recommendation;
+      const Recommendation b =
+          replica.Recommend(context, 10, ServeOptions{}).recommendation;
       ASSERT_EQ(a.covered, b.covered);
       ASSERT_EQ(a.queries.size(), b.queries.size());
       for (size_t i = 0; i < a.queries.size(); ++i) {
@@ -531,7 +534,7 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
 }
 
 TEST(SnapshotIoTest, PersistWithFullPublishStillWritesCompactBlob) {
-  // persist_path without publish_compact: readers get the full snapshot,
+  // persist_path without publish_compact: readers get the exact packing,
   // the disk gets the compact re-pack.
   const std::vector<AggregatedSession> base = SeededCorpus(30, 300, 80);
   TempFile file("fullpublish.blob");
@@ -543,12 +546,14 @@ TEST(SnapshotIoTest, PersistWithFullPublishStillWritesCompactBlob) {
   Retrainer retrainer(&engine, options);
   ASSERT_TRUE(retrainer.Bootstrap(base).ok());
 
-  EXPECT_NE(std::dynamic_pointer_cast<const ModelSnapshot>(
-                engine.CurrentSnapshot()),
-            nullptr);
+  const auto published = std::dynamic_pointer_cast<const CompactSnapshot>(
+      engine.CurrentSnapshot());
+  ASSERT_NE(published, nullptr);
+  EXPECT_EQ(published->options().top_k, 0u);
   const auto mapped = MapCompactSnapshot(file.path());
   ASSERT_TRUE(mapped.ok());
   EXPECT_EQ((*mapped)->version(), 1u);
+  EXPECT_EQ((*mapped)->options().top_k, options.compact.top_k);
 }
 
 // ------------------------------------------------ format compatibility
@@ -598,6 +603,58 @@ TEST(SnapshotGoldenTest, CommittedBlobMatchesFreshlyTrainedModel) {
   // from scratch on the same seeded corpus, through both restore paths.
   const std::vector<std::vector<QueryId>> contexts = PrefixContexts(
       SeededCorpus(kGoldenSeed, kGoldenSessions, kGoldenVocabulary), 500);
+  ExpectBitIdentical(*compact, **loaded, contexts, 10);
+  ExpectBitIdentical(*compact, **mapped, contexts, 10);
+}
+
+/// The committed golden blob of format version 2 (u32 count codes):
+/// the exact packing of a seeded corpus plus one aggregated session of
+/// frequency 70000, whose transitions push non-root counts past 16 bits.
+/// Regenerate exactly like the version-1 golden.
+constexpr char kWideGoldenRelPath[] = "/golden_snapshot_v2.blob";
+constexpr uint64_t kWideGoldenSeed = 78;
+constexpr size_t kWideGoldenSessions = 200;
+constexpr QueryId kWideGoldenVocabulary = 40;
+
+std::vector<AggregatedSession> WideGoldenCorpus() {
+  std::vector<AggregatedSession> corpus =
+      SeededCorpus(kWideGoldenSeed, kWideGoldenSessions,
+                   kWideGoldenVocabulary);
+  corpus.push_back({{3, 5, 7}, 70000});
+  return corpus;
+}
+
+TEST(SnapshotGoldenTest, CommittedWideCodeBlobMatchesFreshlyTrainedModel) {
+  const std::string golden_path = std::string(SQP_TEST_DATA_DIR) +
+                                  kWideGoldenRelPath;
+  const std::vector<AggregatedSession> corpus = WideGoldenCorpus();
+  const auto compact = CompactSnapshot::FromSnapshot(
+      *BuildFull(corpus, kGoldenVersion, 1 << 10),
+      CompactOptions{.top_k = 0});
+  ASSERT_TRUE(compact->wide_codes());
+  if (std::getenv("SQP_REGEN_GOLDEN") != nullptr) {
+    ASSERT_TRUE(SaveCompactSnapshot(*compact, golden_path).ok());
+    GTEST_SKIP() << "regenerated " << golden_path;
+  }
+  ASSERT_TRUE(std::filesystem::exists(golden_path))
+      << golden_path << " is missing — regenerate with SQP_REGEN_GOLDEN=1";
+
+  std::ifstream in(golden_path, std::ios::binary);
+  std::vector<uint8_t> header(64);
+  in.read(reinterpret_cast<char*>(header.data()), 64);
+  EXPECT_EQ(LoadLE32(header.data() + 8), kSnapshotFormatVersionWideCodes);
+
+  const auto loaded = LoadCompactSnapshot(golden_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const auto mapped = MapCompactSnapshot(golden_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_TRUE((*loaded)->wide_codes());
+  EXPECT_TRUE((*mapped)->wide_codes());
+  EXPECT_EQ((*loaded)->num_entries(), compact->num_entries());
+  EXPECT_EQ((*loaded)->sigmas(), compact->sigmas());
+
+  const std::vector<std::vector<QueryId>> contexts =
+      PrefixContexts(corpus, 500);
   ExpectBitIdentical(*compact, **loaded, contexts, 10);
   ExpectBitIdentical(*compact, **mapped, contexts, 10);
 }

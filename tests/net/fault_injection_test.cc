@@ -58,7 +58,10 @@ RouterClient FaultyRouter(const Fixture& fixture, FaultPlan plan,
 void ExpectBitIdenticalToReference(const Fixture& fixture,
                                    const BatchResult& batch) {
   const std::vector<Recommendation> expected =
-      fixture.reference->RecommendMany(fixture.contexts, 5);
+      fixture.reference
+          ->RecommendMany(fixture.contexts, 5,
+                          ServeOptions{.lane = QosLane::kBulk})
+          .results;
   ASSERT_EQ(batch.results.size(), expected.size());
   EXPECT_EQ(batch.served, expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {

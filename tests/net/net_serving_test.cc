@@ -52,7 +52,9 @@ void ExpectServesBitIdentical(RouterClient& router,
                               const std::vector<std::vector<QueryId>>& contexts,
                               size_t top_n) {
   const std::vector<Recommendation> expected =
-      reference.RecommendMany(contexts, top_n);
+      reference
+          .RecommendMany(contexts, top_n, ServeOptions{.lane = QosLane::kBulk})
+          .results;
 
   const BatchResult batch = router.RecommendMany(contexts, top_n);
   ASSERT_EQ(batch.results.size(), expected.size());
@@ -185,11 +187,11 @@ TEST(NetServingTest, UnpublishedShardAnswersUnavailableLikeInProcess) {
         EngineOptions{.num_threads = 1}));
     fleet.borrowed.push_back(fleet.engines.back().get());
   }
-  fleet.engines[0]->Publish(trained.shards[0]);
+  fleet.engines[0]->Publish(oracle::PackExact(*trained.shards[0]));
 
   auto reference = std::make_unique<ShardedEngine>(
       ShardedEngineOptions{.num_shards = 2, .num_threads = 1});
-  reference->PublishShard(0, trained.shards[0]);
+  reference->PublishShard(0, oracle::PackExact(*trained.shards[0]));
 
   RouterClient router(2, LoopbackTransportFactory(fleet.borrowed, 1));
   const BatchResult batch = router.RecommendMany(contexts, 5);
@@ -272,7 +274,9 @@ TEST(NetServingTest, GracefulShardRestartReResolvesOntoNewManifest) {
   // Same corpus, same options: generation 2 serves the same bits, so the
   // restarted fleet must still match the v1 reference exactly.
   const std::vector<Recommendation> expected =
-      (*reference)->RecommendMany(contexts, 5);
+      (*reference)
+          ->RecommendMany(contexts, 5, ServeOptions{.lane = QosLane::kBulk})
+          .results;
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(after.statuses[i], StatusCode::kOk) << "item " << i;
     serve_test::ExpectSameRecommendation(expected[i], after.results[i]);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "../serve/serve_test_util.h"
+#include "oracle/pst_walk.h"
 #include "serve/recommender_engine.h"
 #include "serve/sharded_engine.h"
 
@@ -71,7 +72,7 @@ inline LoopbackFleet PublishLoopbackFleet(const ShardedTrainResult& trained) {
   for (const auto& snapshot : trained.shards) {
     auto engine = std::make_unique<RecommenderEngine>(
         EngineOptions{.num_threads = 1});
-    engine->Publish(snapshot);
+    engine->Publish(oracle::PackExact(*snapshot));
     fleet.borrowed.push_back(engine.get());
     fleet.engines.push_back(std::move(engine));
   }
@@ -85,7 +86,7 @@ inline std::unique_ptr<ShardedEngine> PublishReferenceFleet(
       ShardedEngineOptions{.num_shards = trained.shards.size(),
                            .num_threads = 1});
   for (size_t s = 0; s < trained.shards.size(); ++s) {
-    engine->PublishShard(s, trained.shards[s]);
+    engine->PublishShard(s, oracle::PackExact(*trained.shards[s]));
   }
   return engine;
 }

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/pst_walk.h"
 #include "serve/recommender_engine.h"
 #include "serve_test_util.h"
 
@@ -32,7 +33,7 @@ constexpr size_t kVocabularyBound = 1 << 20;
 // without changing answer shapes — kOk answers stay bit-comparable.
 constexpr size_t kTopN = 3;
 
-std::shared_ptr<const ModelSnapshot> BuildSnapshot(
+std::shared_ptr<const CompactSnapshot> BuildSnapshot(
     const std::vector<AggregatedSession>& sessions, uint64_t version) {
   TrainingData data;
   data.sessions = &sessions;
@@ -41,7 +42,7 @@ std::shared_ptr<const ModelSnapshot> BuildSnapshot(
   options.default_max_depth = 5;
   auto built = ModelSnapshot::Build(data, options, version);
   SQP_CHECK(built.ok());
-  return built.value();
+  return oracle::PackExact(*built.value());
 }
 
 bool OkOrShed(StatusCode code) {
@@ -53,7 +54,7 @@ TEST(AdmissionStressTest, ShedAdmitAndPublishRaceCleanly) {
   std::vector<AggregatedSession> grown = SharedCorpus().base;
   grown.insert(grown.end(), SharedCorpus().drifted.begin(),
                SharedCorpus().drifted.end());
-  const std::vector<std::shared_ptr<const ModelSnapshot>> snapshots = {
+  const std::vector<std::shared_ptr<const CompactSnapshot>> snapshots = {
       BuildSnapshot(SharedCorpus().base, 1), BuildSnapshot(grown, 2)};
 
   const std::vector<std::vector<QueryId>> contexts =
@@ -164,9 +165,11 @@ TEST(AdmissionStressTest, ShedAdmitAndPublishRaceCleanly) {
   for (size_t t = 0; t < 2; ++t) {
     threads.emplace_back([&] {
       for (size_t it = 0; it < 20; ++it) {
-        uint64_t version = 0;
-        const std::vector<Recommendation> batch = engine.RecommendMany(
-            std::span<const ContextRef>(refs), kTopN, &version);
+        const BatchResult result = engine.RecommendMany(
+            std::span<const ContextRef>(refs), kTopN,
+            ServeOptions{.lane = QosLane::kBulk});
+        const uint64_t version = result.served_version;
+        const std::vector<Recommendation>& batch = result.results;
         if (batch.size() != refs.size() || version < 1 ||
             version > snapshots.size()) {
           violations.fetch_add(1);

@@ -1,8 +1,8 @@
 // Equivalence suite for the compact serving snapshot: the CSR/top-K/16-bit
-// re-pack must preserve the served rankings (top-N identical to the full
-// ModelSnapshot for N <= K), track full-precision scores tightly, shrink
-// the footprint by a large factor, and plug into the engine/retrainer
-// publish seam unchanged.
+// re-pack must preserve the served rankings (top-N identical to the Pst
+// reference walk over the full ModelSnapshot for N <= K), track
+// full-precision scores tightly, shrink the footprint by a large factor,
+// and plug into the engine/retrainer publish seam unchanged.
 
 #include <memory>
 #include <vector>
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/compact_snapshot.h"
+#include "oracle/pst_walk.h"
 #include "serve/recommender_engine.h"
 #include "serve/retrainer.h"
 #include "serve_test_util.h"
@@ -58,7 +59,7 @@ TEST(CompactSnapshotTest, TopKTruncationPreservesTopNForNUpToK) {
   size_t covered = 0;
   for (const std::vector<QueryId>& context : TestContexts()) {
     for (const size_t n : {size_t{1}, size_t{5}, size_t{10}}) {
-      const Recommendation full = SharedFull()->Recommend(context, n, &scratch);
+      const Recommendation full = oracle::Recommend(*SharedFull(), context, n);
       const Recommendation packed = compact->Recommend(context, n, &scratch);
       ASSERT_EQ(full.covered, packed.covered);
       ASSERT_EQ(full.matched_length, packed.matched_length);
@@ -76,7 +77,7 @@ TEST(CompactSnapshotTest, TopKTruncationPreservesTopNForNUpToK) {
 TEST(CompactSnapshotTest, QuantizedServingIsBitExactWhenCountsFit16Bits) {
   // Unbounded K isolates quantization from truncation. Every count on this
   // corpus fits 16 bits, so dequantization is exact and the compact ranking
-  // arithmetic must reproduce the full snapshot bit-for-bit — scores,
+  // arithmetic must reproduce the Pst reference walk bit-for-bit — scores,
   // order, tie-breaks, everything.
   const auto compact =
       CompactSnapshot::FromSnapshot(*SharedFull(), CompactOptions{.top_k = 0});
@@ -84,7 +85,7 @@ TEST(CompactSnapshotTest, QuantizedServingIsBitExactWhenCountsFit16Bits) {
   size_t compared = 0;
   for (const std::vector<QueryId>& context : TestContexts()) {
     serve_test::ExpectSameRecommendation(
-        SharedFull()->Recommend(context, 10, &scratch),
+        oracle::Recommend(*SharedFull(), context, 10),
         compact->Recommend(context, 10, &scratch));
     ++compared;
   }
@@ -130,15 +131,18 @@ TEST(CompactSnapshotTest, WideIdPoolsAndWideMasksServeIdentically) {
       {base + 1, base + 2}};
   for (const std::vector<QueryId>& context : contexts) {
     serve_test::ExpectSameRecommendation(
-        full->Recommend(context, 5, &scratch),
+        oracle::Recommend(*full, context, 5),
         compact->Recommend(context, 5, &scratch));
-    EXPECT_EQ(full->Covers(context), compact->Covers(context));
+    EXPECT_EQ(oracle::Covers(*full, context), compact->Covers(context));
   }
   EXPECT_EQ(compact->version(), 7u);
 }
 
 TEST(CompactSnapshotTest, BlockShiftHandlesCountsBeyond16Bits) {
-  // Counts above 65535 force a per-node block shift; ranking order must
+  // Counts above 65535 force a per-node block shift in the footprint
+  // packing (top_k > 0; the exact packing widens its codes instead, see
+  // tests/serve/exact_packing_test.cc). Every node keeps all its entries
+  // at top_k = 4, so only quantization is in play: ranking order must
   // survive and dequantized probabilities stay within one code step.
   const std::vector<AggregatedSession> sessions = {
       {{1, 2}, 200001}, {{1, 3}, 70003}, {{1, 4}, 5}, {{1, 5}, 1}};
@@ -149,11 +153,11 @@ TEST(CompactSnapshotTest, BlockShiftHandlesCountsBeyond16Bits) {
   options.default_max_depth = 3;
   const auto full = ModelSnapshot::Build(data, options, 1).value();
   const auto compact =
-      CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 0});
+      CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 4});
 
   SnapshotScratch scratch;
   const std::vector<QueryId> context = {1};
-  const Recommendation exact = full->Recommend(context, 4, &scratch);
+  const Recommendation exact = oracle::Recommend(*full, context, 4);
   const Recommendation packed = compact->Recommend(context, 4, &scratch);
   ASSERT_EQ(exact.queries.size(), packed.queries.size());
   for (size_t i = 0; i < exact.queries.size(); ++i) {
@@ -168,7 +172,7 @@ TEST(CompactSnapshotTest, CoversMatchesFullSnapshot) {
   const auto compact =
       CompactSnapshot::FromSnapshot(*SharedFull(), CompactOptions{.top_k = 8});
   for (const std::vector<QueryId>& context : TestContexts()) {
-    EXPECT_EQ(SharedFull()->Covers(context), compact->Covers(context));
+    EXPECT_EQ(oracle::Covers(*SharedFull(), context), compact->Covers(context));
   }
   EXPECT_FALSE(compact->Covers({}));
 }
@@ -206,22 +210,22 @@ TEST(CompactSnapshotTest, EnginePublishesEitherVariantThroughOneSeam) {
       CompactSnapshot::FromSnapshot(*SharedFull(), CompactOptions{.top_k = 10});
   RecommenderEngine engine(EngineOptions{.num_threads = 1});
 
-  engine.Publish(SharedFull());
+  engine.Publish(oracle::PackExact(*SharedFull()));
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 32);
   SnapshotScratch scratch;
   for (const std::vector<QueryId>& context : contexts) {
     serve_test::ExpectSameRecommendation(
-        SharedFull()->Recommend(context, 5, &scratch),
-        engine.Recommend(context, 5));
+        oracle::Recommend(*SharedFull(), context, 5),
+        engine.Recommend(context, 5, ServeOptions{}).recommendation);
   }
 
-  engine.Publish(compact);  // hot swap full -> compact, readers unchanged
+  engine.Publish(compact);  // hot swap exact -> compact, readers unchanged
   EXPECT_EQ(engine.CurrentSnapshot().get(), compact.get());
   for (const std::vector<QueryId>& context : contexts) {
     serve_test::ExpectSameRecommendation(
         compact->Recommend(context, 5, &scratch),
-        engine.Recommend(context, 5));
+        engine.Recommend(context, 5, ServeOptions{}).recommendation);
   }
 }
 
@@ -241,12 +245,11 @@ TEST(CompactSnapshotTest, RetrainerPublishesCompactRebuilds) {
       engine.CurrentSnapshot());
   ASSERT_NE(published, nullptr);
   EXPECT_EQ(published->version(), 1u);
-  SnapshotScratch scratch;
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().base, 64)) {
-    const Recommendation full =
-        SharedFull()->Recommend(context, 5, &scratch);
-    const Recommendation served = engine.Recommend(context, 5);
+    const Recommendation full = oracle::Recommend(*SharedFull(), context, 5);
+    const Recommendation served =
+        engine.Recommend(context, 5, ServeOptions{}).recommendation;
     ASSERT_EQ(full.covered, served.covered);
     ASSERT_EQ(full.queries.size(), served.queries.size());
     for (size_t i = 0; i < full.queries.size(); ++i) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/pst_walk.h"
 #include "serve/recommender_engine.h"
 #include "serve/sharded_engine.h"
 #include "serve_test_util.h"
@@ -26,7 +27,7 @@ using serve_test::SharedCorpus;
 
 constexpr size_t kVocabularyBound = 1 << 20;
 
-std::shared_ptr<const ModelSnapshot> BuildSnapshot(
+std::shared_ptr<const CompactSnapshot> BuildSnapshot(
     const std::vector<AggregatedSession>& sessions, uint64_t version) {
   TrainingData data;
   data.sessions = &sessions;
@@ -35,8 +36,10 @@ std::shared_ptr<const ModelSnapshot> BuildSnapshot(
   options.default_max_depth = 5;
   auto built = ModelSnapshot::Build(data, options, version);
   SQP_CHECK(built.ok());
-  return built.value();
+  return oracle::PackExact(*built.value());
 }
+
+const ServeOptions kBulk{.lane = QosLane::kBulk};
 
 Deadline Generous() { return Deadline::After(std::chrono::seconds(30)); }
 
@@ -49,10 +52,9 @@ TEST(DeadlineServingTest, EngineQosMatchesLegacyWithoutOverload) {
 
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 300);
-  uint64_t version = 0;
-  const std::vector<Recommendation> legacy =
-      engine.RecommendMany(contexts, 5, &version);
-  ASSERT_EQ(version, 7u);
+  const BatchResult unbounded = engine.RecommendMany(contexts, 5, kBulk);
+  const std::vector<Recommendation>& legacy = unbounded.results;
+  ASSERT_EQ(unbounded.served_version, 7u);
 
   // Unbounded deadline (the legacy contract spelled out) and a generous
   // bounded one, on both lanes: same answers, same order, same scores.
@@ -100,14 +102,14 @@ TEST(DeadlineServingTest, ShardedQosMatchesLegacyWithoutOverload) {
   ShardedEngine engine(
       ShardedEngineOptions{.num_shards = 4, .num_threads = 2});
   for (size_t s = 0; s < 4; ++s) {
-    engine.PublishShard(s, trained->shards[s]);
+    engine.PublishShard(s, oracle::PackExact(*trained->shards[s]));
   }
 
   const std::vector<std::vector<QueryId>> owned =
       CollectContexts(corpus, 300);
   std::vector<ContextRef> contexts(owned.begin(), owned.end());
   const std::vector<Recommendation> legacy =
-      engine.RecommendMany(owned, 5);
+      engine.RecommendMany(owned, 5, kBulk).results;
 
   for (const Deadline& deadline : {Deadline::None(), Generous()}) {
     ServeOptions options;
@@ -158,7 +160,8 @@ TEST(DeadlineServingTest, EngineShedsRequestsThatArriveExpired) {
   const AdmissionStats stats = engine.stats().admission;
   EXPECT_GE(stats.lane(QosLane::kInteractive).shed_deadline, 2u);
   // The legacy path is oblivious: same engine, same instant, full answer.
-  EXPECT_EQ(engine.RecommendMany(contexts, 5).size(), contexts.size());
+  EXPECT_EQ(engine.RecommendMany(contexts, 5, kBulk).results.size(),
+            contexts.size());
 }
 
 TEST(DeadlineServingTest, UnpublishedEnginesReportUnavailable) {
@@ -191,7 +194,7 @@ TEST(DeadlineServingTest, ShardWithNoSnapshotIsUnavailableOthersServe) {
   ShardedEngine engine(
       ShardedEngineOptions{.num_shards = 4, .num_threads = 2});
   for (size_t s = 1; s < 4; ++s) {
-    engine.PublishShard(s, trained->shards[s]);
+    engine.PublishShard(s, oracle::PackExact(*trained->shards[s]));
   }
 
   const std::vector<std::vector<QueryId>> owned =
@@ -259,7 +262,8 @@ TEST(DeadlineServingTest, BatchIsCutMidFlightWhenTheDeadlineExpires) {
   EXPECT_EQ(batch.statuses.back(), StatusCode::kDeadlineExceeded);
 
   // Served prefix is exact; expired suffix is explicit and empty.
-  const std::vector<Recommendation> legacy = engine.RecommendMany(seed, 5);
+  const std::vector<Recommendation> legacy =
+      engine.RecommendMany(seed, 5, kBulk).results;
   size_t checked = 0;
   for (size_t i = 0; i < contexts.size(); ++i) {
     if (batch.statuses[i] == StatusCode::kOk) {
@@ -292,7 +296,7 @@ TEST(DeadlineServingTest, ConcurrentBatchCallersAllMakeProgress) {
   const std::vector<std::vector<QueryId>> small(seed.begin(),
                                                 seed.begin() + 40);
   const std::vector<Recommendation> expected_small =
-      engine.RecommendMany(small, 5);
+      engine.RecommendMany(small, 5, kBulk).results;
 
   std::atomic<size_t> bulk_done{0};
   std::atomic<size_t> interactive_done{0};
@@ -303,7 +307,7 @@ TEST(DeadlineServingTest, ConcurrentBatchCallersAllMakeProgress) {
     threads.emplace_back([&] {
       for (int round = 0; round < 3; ++round) {
         const std::vector<Recommendation> got =
-            engine.RecommendMany(seed, 5);
+            engine.RecommendMany(seed, 5, kBulk).results;
         if (got.size() == seed.size()) bulk_done.fetch_add(1);
       }
     });
@@ -363,11 +367,11 @@ TEST(DeadlineServingTest, BoundedRequestsDegradeTopNUnderPressure) {
   // bounded request must see the degrade ladder.
   std::atomic<int> giants_done{0};
   std::thread holder([&] {
-    engine.RecommendMany(huge, 10);
+    engine.RecommendMany(huge, 10, kBulk);
     giants_done.fetch_add(1);
   });
   std::thread waiter([&] {
-    engine.RecommendMany(huge, 10);
+    engine.RecommendMany(huge, 10, kBulk);
     giants_done.fetch_add(1);
   });
 

@@ -18,6 +18,7 @@
 
 #include "core/compact_snapshot.h"
 #include "core/snapshot_io.h"
+#include "oracle/pst_walk.h"
 #include "serve/recommender_engine.h"
 #include "serve/retrainer.h"
 #include "serve_test_util.h"
@@ -58,9 +59,10 @@ TEST(EngineStressTest, ReadersAlwaysSeeFullyPublishedSnapshots) {
                  drifted.end());
     corpora.push_back(grown);
   }
-  // Generation 2 is a compact re-pack and generation 4 a memory-mapped
-  // blob restored from disk, so the swap loop keeps hot-swapping
-  // full -> compact -> full -> mapped serving variants underneath the
+  // Generations 1 and 3 are exact packings, generation 2 a top-10 compact
+  // re-pack and generation 4 a memory-mapped blob restored from disk, so
+  // the swap loop keeps hot-swapping exact -> compact -> exact -> mapped
+  // serving variants underneath the
   // readers — the publish seam must not care which variant is live, and a
   // cold-booted (mmap) replica must behave like any other snapshot under
   // concurrent readers.
@@ -72,7 +74,7 @@ TEST(EngineStressTest, ReadersAlwaysSeeFullyPublishedSnapshots) {
       snapshots.push_back(
           CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 10}));
     } else {
-      snapshots.push_back(full);
+      snapshots.push_back(oracle::PackExact(*full));
     }
   }
   // Process-unique path: concurrent ctest runs (e.g. release and ASan
@@ -119,8 +121,10 @@ TEST(EngineStressTest, ReadersAlwaysSeeFullyPublishedSnapshots) {
     readers.emplace_back([&, r] {
       for (size_t it = 0; it < kIterations && !done.load(); ++it) {
         const size_t i = (r * 131 + it * 17) % contexts.size();
-        uint64_t version = 0;
-        const Recommendation rec = engine.Recommend(contexts[i], 5, &version);
+        const ServeResult served =
+            engine.Recommend(contexts[i], 5, ServeOptions{});
+        const uint64_t version = served.served_version;
+        const Recommendation& rec = served.recommendation;
         queries.fetch_add(1);
         if (version < 1 || version > snapshots.size() ||
             !SameRecommendation(expected[version - 1][i], rec)) {
@@ -136,9 +140,11 @@ TEST(EngineStressTest, ReadersAlwaysSeeFullyPublishedSnapshots) {
       refs.emplace_back(context.data(), context.size());
     }
     for (size_t it = 0; it < 60; ++it) {
-      uint64_t version = 0;
-      const std::vector<Recommendation> batch = engine.RecommendMany(
-          std::span<const ContextRef>(refs), 5, &version);
+      const BatchResult result =
+          engine.RecommendMany(std::span<const ContextRef>(refs), 5,
+                               ServeOptions{.lane = QosLane::kBulk});
+      const uint64_t version = result.served_version;
+      const std::vector<Recommendation>& batch = result.results;
       queries.fetch_add(batch.size());
       if (version < 1 || version > snapshots.size()) {
         mismatches.fetch_add(1);
@@ -196,13 +202,11 @@ TEST(EngineStressTest, ReadersHammerWhileRealRetrainerSwaps) {
     readers.emplace_back([&, r] {
       size_t it = 0;
       while (!stop.load()) {
-        uint64_t version = 0;
-        const Recommendation rec =
-            engine.Recommend(contexts[(r + it++) % contexts.size()], 5,
-                             &version);
-        (void)rec;
+        const ServeResult result = engine.Recommend(
+            contexts[(r + it++) % contexts.size()], 5, ServeOptions{});
         served.fetch_add(1);
-        if (version == 0) bad.fetch_add(1);  // must never see "no snapshot"
+        // Must never see "no snapshot".
+        if (result.served_version == 0) bad.fetch_add(1);
       }
     });
   }

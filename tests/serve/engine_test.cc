@@ -1,12 +1,13 @@
 // RecommenderEngine basics: snapshot publish/swap semantics, single-query
-// serving parity with the underlying snapshot, and batched RecommendMany
-// parity across pool configurations.
+// serving parity with the Pst reference walk over the published model, and
+// batched RecommendMany parity across pool configurations.
 
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "oracle/pst_walk.h"
 #include "serve/recommender_engine.h"
 #include "serve_test_util.h"
 
@@ -37,32 +38,32 @@ TEST(RecommenderEngineTest, UnpublishedEngineServesEmpty) {
   EXPECT_EQ(engine.current_version(), 0u);
 
   const std::vector<QueryId> context = {1, 2, 3};
-  uint64_t version = 99;
-  const Recommendation rec = engine.Recommend(context, 5, &version);
+  const ServeResult served = engine.Recommend(context, 5, ServeOptions{});
+  const Recommendation& rec = served.recommendation;
   EXPECT_FALSE(rec.covered);
   EXPECT_TRUE(rec.queries.empty());
-  EXPECT_EQ(version, 0u);
+  EXPECT_EQ(served.served_version, 0u);
 
-  const auto batch = engine.RecommendMany(
-      std::vector<std::vector<QueryId>>{{1}, {2}}, 5, &version);
+  const BatchResult result = engine.RecommendMany(
+      std::vector<std::vector<QueryId>>{{1}, {2}}, 5, ServeOptions{});
+  const std::vector<Recommendation>& batch = result.results;
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_FALSE(batch[0].covered);
-  EXPECT_EQ(version, 0u);
+  EXPECT_EQ(result.served_version, 0u);
 }
 
 TEST(RecommenderEngineTest, SingleQueryMatchesSnapshot) {
   const auto snapshot = BuildSnapshot(SharedCorpus().base, 7);
   RecommenderEngine engine(EngineOptions{.num_threads = 2});
-  engine.Publish(snapshot);
+  engine.Publish(oracle::PackExact(*snapshot));
   EXPECT_EQ(engine.current_version(), 7u);
 
-  SnapshotScratch scratch;
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().base, 200)) {
-    uint64_t version = 0;
-    const Recommendation actual = engine.Recommend(context, 5, &version);
-    EXPECT_EQ(version, 7u);
-    ExpectSameRecommendation(snapshot->Recommend(context, 5, &scratch),
+    const ServeResult served = engine.Recommend(context, 5, ServeOptions{});
+    const Recommendation& actual = served.recommendation;
+    EXPECT_EQ(served.served_version, 7u);
+    ExpectSameRecommendation(oracle::Recommend(*snapshot, context, 5),
                              actual);
   }
   EXPECT_GE(engine.stats().queries_served, 200u);
@@ -73,20 +74,19 @@ TEST(RecommenderEngineTest, BatchedMatchesSingleAcrossPoolConfigs) {
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 300);
 
-  SnapshotScratch scratch;
   std::vector<Recommendation> expected;
   expected.reserve(contexts.size());
   for (const std::vector<QueryId>& context : contexts) {
-    expected.push_back(snapshot->Recommend(context, 5, &scratch));
+    expected.push_back(oracle::Recommend(*snapshot, context, 5));
   }
 
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     RecommenderEngine engine(EngineOptions{.num_threads = threads});
-    engine.Publish(snapshot);
-    uint64_t version = 0;
-    const std::vector<Recommendation> actual =
-        engine.RecommendMany(contexts, 5, &version);
-    EXPECT_EQ(version, 3u);
+    engine.Publish(oracle::PackExact(*snapshot));
+    const BatchResult result = engine.RecommendMany(
+        contexts, 5, ServeOptions{.lane = QosLane::kBulk});
+    const std::vector<Recommendation>& actual = result.results;
+    EXPECT_EQ(result.served_version, 3u);
     ASSERT_EQ(actual.size(), expected.size());
     for (size_t i = 0; i < actual.size(); ++i) {
       ExpectSameRecommendation(expected[i], actual[i]);
@@ -96,20 +96,20 @@ TEST(RecommenderEngineTest, BatchedMatchesSingleAcrossPoolConfigs) {
   // Below the fan-out threshold the batch runs inline; results are the same.
   RecommenderEngine engine(
       EngineOptions{.num_threads = 4, .min_batch_fanout = 1 << 20});
-  engine.Publish(snapshot);
+  engine.Publish(oracle::PackExact(*snapshot));
   const std::vector<Recommendation> inline_results =
-      engine.RecommendMany(contexts, 5);
+      engine.RecommendMany(contexts, 5, ServeOptions{}).results;
   for (size_t i = 0; i < inline_results.size(); ++i) {
     ExpectSameRecommendation(expected[i], inline_results[i]);
   }
 }
 
 TEST(RecommenderEngineTest, PublishSwapsAtomicallyBetweenVersions) {
-  const auto v1 = BuildSnapshot(SharedCorpus().base, 1);
+  const auto v1 = oracle::PackExact(*BuildSnapshot(SharedCorpus().base, 1));
   std::vector<AggregatedSession> all = SharedCorpus().base;
   all.insert(all.end(), SharedCorpus().drifted.begin(),
              SharedCorpus().drifted.end());
-  const auto v2 = BuildSnapshot(all, 2);
+  const auto v2 = oracle::PackExact(*BuildSnapshot(all, 2));
 
   RecommenderEngine engine(EngineOptions{.num_threads = 1});
   engine.Publish(v1);
@@ -128,9 +128,9 @@ TEST(RecommenderEngineTest, PublishSwapsAtomicallyBetweenVersions) {
 
 TEST(RecommenderEngineTest, EmptyBatchIsFine) {
   RecommenderEngine engine(EngineOptions{.num_threads = 2});
-  engine.Publish(BuildSnapshot(SharedCorpus().base, 1));
+  engine.Publish(oracle::PackExact(*BuildSnapshot(SharedCorpus().base, 1)));
   const std::vector<std::vector<QueryId>> none;
-  EXPECT_TRUE(engine.RecommendMany(none, 5).empty());
+  EXPECT_TRUE(engine.RecommendMany(none, 5, ServeOptions{}).results.empty());
 }
 
 }  // namespace

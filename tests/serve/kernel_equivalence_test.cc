@@ -1,9 +1,10 @@
 // Property suite pinning the dense-accumulator SIMD serving walk to the
-// pre-SIMD reference: for every compiled-in dispatch level, the compact
+// sparse sort-merge: for every compiled-in dispatch level, the compact
 // snapshot's recommendations (scores, order, tie-breaks, covered flags)
-// must be bit-identical to the legacy push_back + sort-merge path — across
-// synthetic corpora, narrow and wide id pools, owned and mapped storage,
-// and reused scratch (the generation-reset property end to end).
+// must be bit-identical to the push + sort-merge path (reached by serving
+// a ModelRef copy with dense_merge = false) — across synthetic corpora,
+// narrow and wide id pools, owned and mapped storage, and reused scratch
+// (the generation-reset property end to end).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "core/compact_snapshot.h"
 #include "core/serve_kernels.h"
 #include "core/snapshot_io.h"
+#include "oracle/pst_walk.h"
 #include "serve_test_util.h"
 
 namespace sqp {
@@ -37,19 +39,6 @@ class ActiveLevelGuard {
 
  private:
   kernels::SimdLevel previous_;
-};
-
-/// Routes the compact walk through the legacy sparse merge for one scope.
-class ForceSparseGuard {
- public:
-  ForceSparseGuard() {
-    internal::ForceSparseMergeForTest().store(true,
-                                              std::memory_order_relaxed);
-  }
-  ~ForceSparseGuard() {
-    internal::ForceSparseMergeForTest().store(false,
-                                              std::memory_order_relaxed);
-  }
 };
 
 std::vector<kernels::SimdLevel> SupportedLevels() {
@@ -89,16 +78,17 @@ std::vector<std::vector<QueryId>> TestContexts() {
 }
 
 /// The sparse-path reference answers for `contexts` (dispatch-independent:
-/// the legacy path never touches a kernel).
+/// the sort-merge never touches a kernel).
 std::vector<Recommendation> SparseReference(
     const CompactServingBase& snapshot,
     const std::vector<std::vector<QueryId>>& contexts, size_t top_n) {
-  ForceSparseGuard sparse;
+  serving::ModelRef sparse = snapshot.model_ref();
+  sparse.dense_merge = false;
   SnapshotScratch scratch;
   std::vector<Recommendation> out;
   out.reserve(contexts.size());
   for (const std::vector<QueryId>& context : contexts) {
-    out.push_back(snapshot.Recommend(context, top_n, &scratch));
+    out.push_back(RecommendFromModel(sparse, context, top_n, &scratch));
   }
   return out;
 }
@@ -142,18 +132,16 @@ TEST(KernelEquivalenceTest, DenseWalkMatchesSparseReferenceNarrowPools) {
 }
 
 TEST(KernelEquivalenceTest, DenseWalkMatchesFullModelBitExactly) {
-  // Transitivity check against the original serving arithmetic: with
-  // unbounded K and 16-bit-exact counts the compact walk reproduces the
-  // full ModelSnapshot bit-for-bit — and therefore so must the dense walk
-  // at every dispatch level.
+  // Transitivity check against the Pst reference walk: the exact packing
+  // (unbounded K, unshifted counts) reproduces it bit-for-bit — and
+  // therefore so must the dense walk at every dispatch level.
   const auto compact =
       CompactSnapshot::FromSnapshot(*SharedFull(), CompactOptions{.top_k = 0});
   const std::vector<std::vector<QueryId>> contexts = TestContexts();
-  SnapshotScratch scratch;
   std::vector<Recommendation> reference;
   reference.reserve(contexts.size());
   for (const std::vector<QueryId>& context : contexts) {
-    reference.push_back(SharedFull()->Recommend(context, 10, &scratch));
+    reference.push_back(oracle::Recommend(*SharedFull(), context, 10));
   }
   ExpectDenseMatchesReferenceAtEveryLevel(*compact, contexts, 10, reference);
 }

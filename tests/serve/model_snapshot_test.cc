@@ -1,7 +1,8 @@
 // ModelSnapshot must be a faithful, immutable extraction of the MVMM's
 // trained state: building one off to the side reproduces MvmmModel exactly
-// (recommendations, conditionals, sigmas, stats), and MvmmModel itself now
-// serves by delegating to the snapshot it trained.
+// (sigmas, stats, conditionals), and MvmmModel — which serves through the
+// exact packing of the snapshot it trained — answers exactly as the Pst
+// reference walk over that snapshot (tests/oracle/).
 
 #include <memory>
 #include <vector>
@@ -10,6 +11,7 @@
 
 #include "core/model_snapshot.h"
 #include "core/mvmm_model.h"
+#include "oracle/pst_walk.h"
 #include "serve_test_util.h"
 
 namespace sqp {
@@ -61,10 +63,10 @@ TEST(ModelSnapshotTest, BuildMatchesMvmmTraining) {
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().base, 400)) {
     const Recommendation expected = model.Recommend(context, 5);
-    const Recommendation actual = snapshot->Recommend(context, 5, &scratch);
+    const Recommendation actual = oracle::Recommend(*snapshot, context, 5);
     ExpectSameRecommendation(expected, actual);
     covered += actual.covered ? 1 : 0;
-    EXPECT_EQ(model.Covers(context), snapshot->Covers(context));
+    EXPECT_EQ(model.Covers(context), oracle::Covers(*snapshot, context));
     if (!expected.queries.empty()) {
       const QueryId next = expected.queries[0].query;
       EXPECT_DOUBLE_EQ(model.ConditionalProb(context, next),
@@ -110,11 +112,10 @@ TEST(ModelSnapshotTest, ReusesCompatibleSharedIndex) {
   ASSERT_TRUE(from_index.ok());
   ASSERT_TRUE(from_scratch.ok());
 
-  SnapshotScratch scratch;
   for (const std::vector<QueryId>& context : CollectContexts(sessions, 200)) {
     ExpectSameRecommendation(
-        from_scratch.value()->Recommend(context, 5, &scratch),
-        from_index.value()->Recommend(context, 5, &scratch));
+        oracle::Recommend(*from_scratch.value(), context, 5),
+        oracle::Recommend(*from_index.value(), context, 5));
   }
   EXPECT_EQ(from_scratch.value()->Stats().num_states,
             from_index.value()->Stats().num_states);

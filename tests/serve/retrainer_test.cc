@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/compact_snapshot.h"
 #include "core/mvmm_model.h"
 #include "serve/recommender_engine.h"
 #include "serve/retrainer.h"
@@ -54,8 +55,9 @@ TEST(RetrainerTest, BootstrapPublishesVersionOneEquivalentToTrain) {
 
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().base, 200)) {
-    ExpectSameRecommendation(reference.Recommend(context, 5),
-                             engine.Recommend(context, 5));
+    ExpectSameRecommendation(
+        reference.Recommend(context, 5),
+        engine.Recommend(context, 5, ServeOptions{}).recommendation);
   }
 }
 
@@ -87,8 +89,9 @@ TEST(RetrainerTest, RetrainEquivalentToFromScratchOnConcatenatedCorpus) {
   data.vocabulary_size = kVocabularyBound;
   ASSERT_TRUE(reference.Train(data).ok());
 
-  const std::shared_ptr<const ModelSnapshot> published =
-      std::dynamic_pointer_cast<const ModelSnapshot>(engine.CurrentSnapshot());
+  const std::shared_ptr<const CompactSnapshot> published =
+      std::dynamic_pointer_cast<const CompactSnapshot>(
+          engine.CurrentSnapshot());
   ASSERT_NE(published, nullptr);
 
   // Sigmas and structure must agree exactly...
@@ -96,8 +99,12 @@ TEST(RetrainerTest, RetrainEquivalentToFromScratchOnConcatenatedCorpus) {
   for (size_t i = 0; i < published->sigmas().size(); ++i) {
     EXPECT_DOUBLE_EQ(published->sigmas()[i], reference.sigmas()[i]);
   }
-  EXPECT_EQ(published->Stats().num_states, reference.Stats().num_states);
-  EXPECT_EQ(published->Stats().num_entries, reference.Stats().num_entries);
+  const ModelStats packed_stats =
+      CompactSnapshot::FromSnapshot(*reference.snapshot(),
+                                    CompactOptions{.top_k = 0})
+          ->Stats();
+  EXPECT_EQ(published->Stats().num_states, packed_stats.num_states);
+  EXPECT_EQ(published->Stats().num_entries, packed_stats.num_entries);
 
   // ...and so must the served recommendations, on both stale and drifted
   // contexts (the drifted slice is what the retrain absorbed).
@@ -105,13 +112,15 @@ TEST(RetrainerTest, RetrainEquivalentToFromScratchOnConcatenatedCorpus) {
   for (const std::vector<QueryId>& context :
        CollectContexts(concatenated, 250)) {
     const Recommendation expected = reference.Recommend(context, 5);
-    ExpectSameRecommendation(expected, engine.Recommend(context, 5));
+    ExpectSameRecommendation(
+        expected, engine.Recommend(context, 5, ServeOptions{}).recommendation);
     covered += expected.covered ? 1 : 0;
   }
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().drifted, 150)) {
-    ExpectSameRecommendation(reference.Recommend(context, 5),
-                             engine.Recommend(context, 5));
+    ExpectSameRecommendation(
+        reference.Recommend(context, 5),
+        engine.Recommend(context, 5, ServeOptions{}).recommendation);
   }
   EXPECT_GT(covered, 0u);
 }
@@ -270,9 +279,7 @@ TEST(RetrainerTest, BackgroundWorkerRetrainsAppendedSessions) {
   // Serving keeps answering while (and after) the background cycle runs.
   const std::vector<QueryId> context =
       CollectContexts(SharedCorpus().base, 1)[0];
-  uint64_t version = 0;
-  engine.Recommend(context, 5, &version);
-  EXPECT_GE(version, 1u);
+  EXPECT_GE(engine.Recommend(context, 5, ServeOptions{}).served_version, 1u);
   retrainer.Stop();
   EXPECT_FALSE(retrainer.running());
 

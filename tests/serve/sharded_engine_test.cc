@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/compact_snapshot.h"
+#include "oracle/pst_walk.h"
 #include "serve_test_util.h"
 
 namespace sqp {
@@ -28,6 +29,7 @@ using serve_test::SharedCorpus;
 
 constexpr size_t kVocabularyBound = 1 << 20;
 constexpr size_t kShardCounts[] = {1, 2, 4, 7};
+const ServeOptions kBulk{.lane = QosLane::kBulk};
 
 MvmmOptions DefaultModel() {
   MvmmOptions options;
@@ -92,7 +94,6 @@ TEST(ShardedEngineTest, TopNBitIdenticalToUnshardedForEveryShardCount) {
   const auto drifted = CollectContexts(SharedCorpus().drifted, 200);
   contexts.insert(contexts.end(), drifted.begin(), drifted.end());
 
-  SnapshotScratch scratch;
   for (const size_t num_shards : kShardCounts) {
     const ShardedTrainResult trained =
         TrainSharded(corpus, static_cast<uint32_t>(num_shards));
@@ -105,22 +106,23 @@ TEST(ShardedEngineTest, TopNBitIdenticalToUnshardedForEveryShardCount) {
                                               .num_threads = 2});
     ASSERT_EQ(engine.num_shards(), num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
-      engine.PublishShard(s, trained.shards[s]);
+      engine.PublishShard(s, oracle::PackExact(*trained.shards[s]));
     }
 
     for (const std::vector<QueryId>& context : contexts) {
-      const Recommendation want = full->Recommend(context, 10, &scratch);
-      const Recommendation got = engine.Recommend(context, 10);
+      const Recommendation want = oracle::Recommend(*full, context, 10);
+      const Recommendation got =
+          engine.Recommend(context, 10, ServeOptions{}).recommendation;
       ExpectSameRecommendation(want, got);
     }
 
     // The batched path routes and merges back positionally; results must
     // be the same answers in the same slots.
     const std::vector<Recommendation> batch =
-        engine.RecommendMany(contexts, 10);
+        engine.RecommendMany(contexts, 10, kBulk).results;
     ASSERT_EQ(batch.size(), contexts.size());
     for (size_t i = 0; i < contexts.size(); ++i) {
-      const Recommendation want = full->Recommend(contexts[i], 10, &scratch);
+      const Recommendation want = oracle::Recommend(*full, contexts[i], 10);
       ExpectSameRecommendation(want, batch[i]);
     }
   }
@@ -158,7 +160,8 @@ TEST(ShardedEngineTest, ManifestBootedFleetServesIdentically) {
     for (const std::vector<QueryId>& context : contexts) {
       const Recommendation want =
           full_compact->Recommend(context, 10, &scratch);
-      const Recommendation got = (*booted)->Recommend(context, 10);
+      const Recommendation got =
+          (*booted)->Recommend(context, 10, ServeOptions{}).recommendation;
       ExpectSameRecommendation(want, got);
     }
   }
@@ -167,11 +170,15 @@ TEST(ShardedEngineTest, ManifestBootedFleetServesIdentically) {
 TEST(ShardedEngineTest, EmptyAndUnknownContextsBehaveLikeUnsharded) {
   const ShardedTrainResult trained = TrainSharded(SharedCorpus().base, 4);
   ShardedEngine engine(ShardedEngineOptions{.num_shards = 4});
-  for (size_t s = 0; s < 4; ++s) engine.PublishShard(s, trained.shards[s]);
+  for (size_t s = 0; s < 4; ++s) {
+    engine.PublishShard(s, oracle::PackExact(*trained.shards[s]));
+  }
 
-  EXPECT_FALSE(engine.Recommend({}, 5).covered);
+  EXPECT_FALSE(
+      engine.Recommend({}, 5, ServeOptions{}).recommendation.covered);
   const std::vector<QueryId> unknown = {kInvalidQueryId - 1};
-  EXPECT_FALSE(engine.Recommend(unknown, 5).covered);
+  EXPECT_FALSE(
+      engine.Recommend(unknown, 5, ServeOptions{}).recommendation.covered);
 }
 
 TEST(ShardedEngineTest, UnpublishedShardAnswersUncovered) {
@@ -181,12 +188,15 @@ TEST(ShardedEngineTest, UnpublishedShardAnswersUncovered) {
   // Publish every shard but 0: contexts owned by shard 0 must answer
   // uncovered (version 0), everything else normally — readers of healthy
   // shards are unaffected by a missing one.
-  for (size_t s = 1; s < 4; ++s) engine.PublishShard(s, trained.shards[s]);
+  for (size_t s = 1; s < 4; ++s) {
+    engine.PublishShard(s, oracle::PackExact(*trained.shards[s]));
+  }
 
   size_t unowned_covered = 0;
   for (const std::vector<QueryId>& context : CollectContexts(corpus, 300)) {
-    uint64_t version = 0;
-    const Recommendation rec = engine.Recommend(context, 5, &version);
+    const ServeResult served = engine.Recommend(context, 5, ServeOptions{});
+    const uint64_t version = served.served_version;
+    const Recommendation& rec = served.recommendation;
     if (engine.OwningShard(context) == 0) {
       EXPECT_FALSE(rec.covered);
       EXPECT_EQ(version, 0u);
@@ -197,7 +207,7 @@ TEST(ShardedEngineTest, UnpublishedShardAnswersUncovered) {
   }
   EXPECT_GT(unowned_covered, 0u);
   const std::vector<Recommendation> batch =
-      engine.RecommendMany(CollectContexts(corpus, 300), 5);
+      engine.RecommendMany(CollectContexts(corpus, 300), 5, kBulk).results;
   EXPECT_EQ(batch.size(), 300u);
 }
 
@@ -216,10 +226,9 @@ TEST(ShardedEngineTest, FixedSigmasSkipTheFitAndServeIdentically) {
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ((*rebuilt)->sigmas(), fitted->sigmas());
 
-  SnapshotScratch scratch;
   for (const std::vector<QueryId>& context : CollectContexts(corpus, 200)) {
-    ExpectSameRecommendation(fitted->Recommend(context, 10, &scratch),
-                             (*rebuilt)->Recommend(context, 10, &scratch));
+    ExpectSameRecommendation(oracle::Recommend(*fitted, context, 10),
+                             oracle::Recommend(**rebuilt, context, 10));
   }
 
   // Mis-sized vectors are rejected, in Build and in WithSigmas.
@@ -269,12 +278,12 @@ TEST(ShardedRetrainerSetTest, OneShardRebuildsWhileOthersStayBitFrozen) {
   // The bootstrapped fleet equals the unsharded model (the retrainers
   // rebuild under the pinned global sigmas).
   const auto full = BuildUnsharded(SharedCorpus().base);
-  SnapshotScratch scratch;
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 300);
   for (const std::vector<QueryId>& context : contexts) {
-    ExpectSameRecommendation(full->Recommend(context, 10, &scratch),
-                             engine.Recommend(context, 10));
+    ExpectSameRecommendation(
+        oracle::Recommend(*full, context, 10),
+        engine.Recommend(context, 10, ServeOptions{}).recommendation);
   }
 
   // Pick a target shard with single-owner drift sessions available.
@@ -290,7 +299,8 @@ TEST(ShardedRetrainerSetTest, OneShardRebuildsWhileOthersStayBitFrozen) {
   std::vector<Recommendation> before;
   before.reserve(contexts.size());
   for (const std::vector<QueryId>& context : contexts) {
-    before.push_back(engine.Recommend(context, 10));
+    before.push_back(
+        engine.Recommend(context, 10, ServeOptions{}).recommendation);
   }
 
   retrainers.AppendSessions(fresh);
@@ -322,10 +332,11 @@ TEST(ShardedRetrainerSetTest, OneShardRebuildsWhileOthersStayBitFrozen) {
   ASSERT_TRUE(grown_full.ok());
 
   for (size_t i = 0; i < contexts.size(); ++i) {
-    const Recommendation now = engine.Recommend(contexts[i], 10);
+    const Recommendation now =
+        engine.Recommend(contexts[i], 10, ServeOptions{}).recommendation;
     if (engine.OwningShard(contexts[i]) == target) {
       ExpectSameRecommendation(
-          (*grown_full)->Recommend(contexts[i], 10, &scratch), now);
+          oracle::Recommend(**grown_full, contexts[i], 10), now);
     } else {
       ExpectSameRecommendation(before[i], now);
     }
@@ -378,9 +389,9 @@ TEST(ShardedRetrainerSetTest, PersistedFleetColdBootsAfterShardRebuild) {
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 150);
   const std::vector<Recommendation> live =
-      engine.RecommendMany(contexts, 10);
+      engine.RecommendMany(contexts, 10, kBulk).results;
   const std::vector<Recommendation> cold =
-      (*rebooted)->RecommendMany(contexts, 10);
+      (*rebooted)->RecommendMany(contexts, 10, kBulk).results;
   size_t covered = 0;
   for (size_t i = 0; i < contexts.size(); ++i) {
     if (live[i].covered) ++covered;
@@ -474,12 +485,14 @@ TEST(ShardedRetrainerSetTest, EmptyShardSlicesPersistAndBootstrapLazily) {
   ASSERT_EQ(retrainers.shard_retrainer(lazy_shard)->published_version(), 0u)
       << "test premise: shard owning query 3 bootstrapped empty";
   const std::vector<QueryId> context = {3};
-  EXPECT_FALSE(engine.Recommend(context, 5).covered);
+  EXPECT_FALSE(
+      engine.Recommend(context, 5, ServeOptions{}).recommendation.covered);
 
   retrainers.AppendSessions({AggregatedSession{{3, 4}, 4}});
   // The lazy bootstrap is synchronous: the shard serves immediately.
   EXPECT_GE(retrainers.shard_retrainer(lazy_shard)->published_version(), 1u);
-  const Recommendation rec = engine.Recommend(context, 5);
+  const Recommendation rec =
+      engine.Recommend(context, 5, ServeOptions{}).recommendation;
   EXPECT_TRUE(rec.covered);
   ASSERT_FALSE(rec.queries.empty());
   EXPECT_EQ(rec.queries[0].query, 4u);
@@ -487,7 +500,9 @@ TEST(ShardedRetrainerSetTest, EmptyShardSlicesPersistAndBootstrapLazily) {
   // The lazy publish also persisted + re-pinned the manifest.
   auto rebooted = ShardedEngine::BootFromManifest(manifest_path);
   ASSERT_TRUE(rebooted.ok()) << rebooted.status().ToString();
-  EXPECT_TRUE((*rebooted)->Recommend(context, 5).covered);
+  EXPECT_TRUE((*rebooted)
+                  ->Recommend(context, 5, ServeOptions{})
+                  .recommendation.covered);
 }
 
 // --------------------------------------------------- partial-fleet boots
@@ -535,7 +550,8 @@ TEST(ShardedEngineTest, FleetBootsDegradedAroundOneDeadShard) {
   size_t healthy_checked = 0;
   size_t dead_checked = 0;
   for (const std::vector<QueryId>& context : CollectContexts(corpus, 300)) {
-    const Recommendation got = engine.Recommend(context, 10);
+    const Recommendation got =
+        engine.Recommend(context, 10, ServeOptions{}).recommendation;
     if (engine.OwningShard(context) == 1) {
       EXPECT_FALSE(got.covered);
       EXPECT_TRUE(got.queries.empty());
@@ -583,12 +599,16 @@ TEST(ShardedEngineTest, AllDeadBootReturnsTheFirstShardError) {
 TEST(ShardedEngineTest, StatsAggregateAcrossShards) {
   const ShardedTrainResult trained = TrainSharded(SharedCorpus().base, 2);
   ShardedEngine engine(ShardedEngineOptions{.num_shards = 2});
-  for (size_t s = 0; s < 2; ++s) engine.PublishShard(s, trained.shards[s]);
+  for (size_t s = 0; s < 2; ++s) {
+    engine.PublishShard(s, oracle::PackExact(*trained.shards[s]));
+  }
 
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 64);
-  for (size_t i = 0; i < 10; ++i) engine.Recommend(contexts[i], 5);
-  engine.RecommendMany(contexts, 5);
+  for (size_t i = 0; i < 10; ++i) {
+    engine.Recommend(contexts[i], 5, ServeOptions{});
+  }
+  engine.RecommendMany(contexts, 5, kBulk);
 
   const ShardedStats stats = engine.stats();
   EXPECT_EQ(stats.queries_served, 10u + contexts.size());

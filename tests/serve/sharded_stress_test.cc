@@ -1,6 +1,6 @@
 // Concurrency stress for the sharded serving layer: reader threads hammer
 // cross-shard Recommend / RecommendMany batches while ONE shard is
-// hot-swapped between generations (full -> compact -> full) underneath
+// hot-swapped between generations (exact -> compact -> exact) underneath
 // them. Contexts owned by untouched shards must answer bit-identically
 // throughout; contexts owned by the swapped shard must always match one
 // of its fully-published generations. Runs under ThreadSanitizer in CI
@@ -30,8 +30,8 @@ constexpr uint32_t kShards = 4;
 TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
   // Generation 1: the fleet trained on the base corpus. Generation 2 (for
   // the swapped shard only): trained on base + drifted under the same
-  // pinned global sigmas, published alternately as the full snapshot and
-  // its compact re-pack.
+  // pinned global sigmas, published alternately as the exact packing and
+  // its top-8 compact re-pack.
   ShardedTrainOptions train;
   train.model.default_max_depth = 5;
   train.num_shards = kShards;
@@ -47,16 +47,22 @@ TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
   auto gen2 = TrainShardedSnapshots(grown, train);
   ASSERT_TRUE(gen2.ok());
 
+  std::vector<std::shared_ptr<const ServingSnapshot>> gen1_packed;
+  for (const auto& shard : gen1->shards) {
+    gen1_packed.push_back(
+        CompactSnapshot::FromSnapshot(*shard, CompactOptions{.top_k = 0}));
+  }
   constexpr uint32_t kSwapShard = 1;
   const std::shared_ptr<const ServingSnapshot> swap_variants[2] = {
-      gen2->shards[kSwapShard],
+      CompactSnapshot::FromSnapshot(*gen2->shards[kSwapShard],
+                                    CompactOptions{.top_k = 0}),
       CompactSnapshot::FromSnapshot(*gen2->shards[kSwapShard],
                                     CompactOptions{.top_k = 8})};
 
   ShardedEngine engine(
       ShardedEngineOptions{.num_shards = kShards, .num_threads = 2});
   for (size_t s = 0; s < kShards; ++s) {
-    engine.PublishShard(s, gen1->shards[s]);
+    engine.PublishShard(s, gen1_packed[s]);
   }
 
   // Contexts from both periods; precompute the acceptable answers: the
@@ -75,13 +81,13 @@ TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
       expected[i].shard = engine.OwningShard(contexts[i]);
       if (expected[i].shard == kSwapShard) {
         expected[i].valid.push_back(
-            gen1->shards[kSwapShard]->Recommend(contexts[i], 5, &scratch));
+            gen1_packed[kSwapShard]->Recommend(contexts[i], 5, &scratch));
         for (const auto& variant : swap_variants) {
           expected[i].valid.push_back(
               variant->Recommend(contexts[i], 5, &scratch));
         }
       } else {
-        expected[i].stable = gen1->shards[expected[i].shard]->Recommend(
+        expected[i].stable = gen1_packed[expected[i].shard]->Recommend(
             contexts[i], 5, &scratch);
       }
     }
@@ -109,7 +115,8 @@ TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
     readers.emplace_back([&, r] {
       for (size_t it = 0; it < 300 && !done.load(); ++it) {
         const size_t i = (r * 131 + it * 17) % contexts.size();
-        check(i, engine.Recommend(contexts[i], 5));
+        check(i,
+              engine.Recommend(contexts[i], 5, ServeOptions{}).recommendation);
         served.fetch_add(1);
       }
     });
@@ -117,7 +124,9 @@ TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
   std::thread batch_reader([&] {
     for (size_t it = 0; it < 80; ++it) {
       const std::vector<Recommendation> batch =
-          engine.RecommendMany(contexts, 5);
+          engine
+              .RecommendMany(contexts, 5, ServeOptions{.lane = QosLane::kBulk})
+              .results;
       for (size_t i = 0; i < batch.size(); ++i) check(i, batch[i]);
       served.fetch_add(batch.size());
     }
@@ -127,7 +136,7 @@ TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
   // while everything above reads.
   for (size_t swap = 0; swap < 200; ++swap) {
     if (swap % 3 == 0) {
-      engine.PublishShard(kSwapShard, gen1->shards[kSwapShard]);
+      engine.PublishShard(kSwapShard, gen1_packed[kSwapShard]);
     } else {
       engine.PublishShard(kSwapShard, swap_variants[swap % 2]);
     }
