@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace sqp {
 namespace {
 
@@ -53,6 +55,11 @@ struct MalformedCase {
   const char* name;
   const char* line;
 };
+
+// gtest would otherwise print the raw bytes of the two pointers, and
+// gtest_discover_tests bakes that text into the ctest name, making the
+// name change with every (address-randomised) discovery run.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.name; }
 
 class MalformedRecordTest : public ::testing::TestWithParam<MalformedCase> {};
 
