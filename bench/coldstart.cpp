@@ -125,7 +125,7 @@ int main() {
   save.name = "save";
   {
     WallTimer timer;
-    SQP_CHECK_OK(SaveCompactSnapshot(*trained_compact, kBlobPath));
+    SQP_CHECK_OK(SnapshotIo::Save(*trained_compact, kBlobPath));
     save.boot_ms = timer.ElapsedMillis();
   }
   save.blob_bytes = std::filesystem::file_size(kBlobPath);
@@ -163,7 +163,7 @@ int main() {
       });
   const Measurement copy_boot =
       measure_boot("copy_boot", [](RecommenderEngine* engine) {
-        auto loaded = LoadCompactSnapshot(kBlobPath);
+        auto loaded = SnapshotIo::Load(kBlobPath);
         SQP_CHECK(loaded.ok());
         engine->Publish(std::move(loaded.value()));
       });

@@ -90,7 +90,7 @@ bool RouterMatchesReference(net::RouterClient* router,
         contexts.begin() + static_cast<ptrdiff_t>(start + n));
     const BatchResult batch = router->RecommendMany(slice, 5);
     ServeOptions unbounded;
-    if (n >= ShardedEngineOptions{}.min_batch_fanout) {
+    if (n >= kMinBatchFanout) {
       unbounded.lane = QosLane::kBulk;
     }
     const std::vector<Recommendation> expected =

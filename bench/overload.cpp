@@ -100,7 +100,7 @@ bool CheckNoOverloadEquivalence(
   const std::vector<ContextRef> refs = MakeRefs(contexts, contexts.size());
   // The unbounded reference: pool-sized batches ride the bulk lane.
   ServeOptions unbounded;
-  if (refs.size() >= EngineOptions{}.min_batch_fanout) {
+  if (refs.size() >= kMinBatchFanout) {
     unbounded.lane = QosLane::kBulk;
   }
 

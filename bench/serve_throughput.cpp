@@ -65,7 +65,7 @@ Measurement MeasureBatchQps(const std::shared_ptr<const ServingSnapshot>& model,
   RecommenderEngine engine(EngineOptions{.num_threads = threads});
   engine.Publish(model);
   ServeOptions options;
-  if (batch >= EngineOptions{}.min_batch_fanout) options.lane = QosLane::kBulk;
+  if (batch >= kMinBatchFanout) options.lane = QosLane::kBulk;
   std::vector<ContextRef> refs;
   refs.reserve(batch);
   size_t cursor = 0;

@@ -50,7 +50,7 @@ std::vector<std::vector<QueryId>> Contexts(const Harness& harness) {
 /// embedding caller would hand sqp_slim_create_from_buffer.
 std::vector<uint8_t> BlobBytes(const CompactSnapshot& snapshot) {
   const std::string path = "/tmp/sqp_slim_bench.blob";
-  SQP_CHECK(SaveCompactSnapshot(snapshot, path).ok());
+  SQP_CHECK(SnapshotIo::Save(snapshot, path).ok());
   std::FILE* f = std::fopen(path.c_str(), "rb");
   SQP_CHECK(f != nullptr);
   std::fseek(f, 0, SEEK_END);

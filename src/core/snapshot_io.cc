@@ -533,7 +533,7 @@ Result<std::shared_ptr<const MappedCompactSnapshot>> SnapshotIo::Map(
     // byte-swaps into owned arrays) there.
     return Status::FailedPrecondition(
         "zero-copy snapshot mapping requires a little-endian host; "
-        "use LoadCompactSnapshot instead");
+        "use SnapshotIo::Load instead");
   }
   std::shared_ptr<MappedCompactSnapshot> out(new MappedCompactSnapshot());
   std::span<const uint8_t> blob;

@@ -238,21 +238,6 @@ class SnapshotIo {
 std::string ResolveAgainstManifest(const std::string& manifest_path,
                                    const std::string& shard_path);
 
-/// Free-function spellings of the SnapshotIo entry points.
-inline Status SaveCompactSnapshot(const CompactSnapshot& snapshot,
-                                  const std::string& path) {
-  return SnapshotIo::Save(snapshot, path);
-}
-inline Result<std::shared_ptr<const CompactSnapshot>> LoadCompactSnapshot(
-    const std::string& path, const SnapshotLoadOptions& options = {}) {
-  return SnapshotIo::Load(path, options);
-}
-inline Result<std::shared_ptr<const MappedCompactSnapshot>>
-MapCompactSnapshot(const std::string& path,
-                   const SnapshotLoadOptions& options = {}) {
-  return SnapshotIo::Map(path, options);
-}
-
 }  // namespace sqp
 
 #endif  // SQP_CORE_SNAPSHOT_IO_H_

@@ -63,8 +63,8 @@ class ShardServer {
   ShardServer& operator=(const ShardServer&) = delete;
 
   /// Cold-boots shard `shard_index` of the fleet pinned by
-  /// `manifest_path` (zero-copy map of its blob, exactly like
-  /// ShardedEngine::LoadAndPublish does in-process) and starts accepting
+  /// `manifest_path` (MapFleetShard: the same verify-and-map step as
+  /// ShardedEngine::LoadAndPublish in-process) and starts accepting
   /// connections. The manifest's model version becomes the fleet version
   /// echoed in every response.
   Status StartFromManifest(const std::string& manifest_path,

@@ -142,8 +142,9 @@ struct BatchResult {
   /// Items actually answered (count of kOk statuses).
   size_t served = 0;
 
-  /// Version of the snapshot that answered (single-engine batches; 0 for
-  /// sharded fleets, whose per-shard versions live in ShardedStats).
+  /// Single-engine batches: version of the snapshot grabbed for the
+  /// batch, 0 when none was published. Always 0 for sharded fleets, whose
+  /// per-shard versions live in ShardedStats.
   uint64_t served_version = 0;
 
   /// The admission decision for the batch as a whole: OK when the batch

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <system_error>
 #include <unordered_map>
 #include <utility>
@@ -561,6 +562,40 @@ std::vector<AggregatedSession> SessionsFromFeedback(
     sessions.push_back(std::move(session));
   }
   return sessions;
+}
+
+Result<std::vector<AggregatedSession>> FeedbackConsumer::Consume(
+    const std::string& dir) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Result<std::vector<FeedbackRecord>> records = ReadFeedbackLog(dir);
+  if (!records.ok()) return records.status();
+  // Candidate ids: the holes, then everything past the watermark. One
+  // merge walk over the (id-sorted) records takes the candidates present
+  // and rebuilds the holes from the ones still absent.
+  std::vector<IdRange> open = std::move(holes_);
+  open.push_back({watermark_ + 1, std::numeric_limits<uint64_t>::max()});
+  holes_.clear();
+  std::vector<FeedbackRecord> fresh;
+  size_t r = 0;
+  uint64_t next = open[0].first;  // lowest unaccounted id of open[r]
+  for (FeedbackRecord& record : *records) {
+    const uint64_t id = record.record_id;
+    while (id > open[r].last) {
+      if (next <= open[r].last) holes_.push_back({next, open[r].last});
+      next = open[++r].first;
+    }
+    if (id < next) continue;  // consumed before
+    if (id > next) holes_.push_back({next, id - 1});
+    next = id + 1;
+    watermark_ = std::max(watermark_, id);
+    fresh.push_back(std::move(record));
+  }
+  for (; r < open.size(); ++r) {
+    const uint64_t last = std::min(open[r].last, watermark_);
+    if (next <= last) holes_.push_back({next, last});
+    if (r + 1 < open.size()) next = open[r + 1].first;
+  }
+  return SessionsFromFeedback(fresh);
 }
 
 uint64_t FeedbackHook::OnServed(std::span<const QueryId> context,

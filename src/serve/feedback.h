@@ -221,6 +221,35 @@ Result<std::vector<FeedbackRecord>> ReadFeedbackLog(
 std::vector<AggregatedSession> SessionsFromFeedback(
     std::span<const FeedbackRecord> records);
 
+/// Folds a feedback log into training sessions, each impression once: the
+/// one consumer behind Retrainer::ConsumeFeedback and
+/// ShardedRetrainerSet::ConsumeFeedback. Record ids are reserved before
+/// the append lock is taken, so id N+1 can land before id N; besides the
+/// watermark (the largest id consumed) the consumer keeps the ids below it
+/// that were absent when consumed, as ranges, and folds each in when it
+/// lands. Ranges come from appends in flight at consume time (closed once
+/// they land), dropped appends (permanent; FeedbackLogStats::
+/// dropped_appends) and a prefix rotated out before the first consume, so
+/// there are at most in-flight + dropped + 1. Thread-safe.
+class FeedbackConsumer {
+ public:
+  /// Reads the log at `dir` and returns, in record-id order, the sessions
+  /// (SessionsFromFeedback) of the impressions not consumed before.
+  /// Every consumed impression counts, clicked or not, so a click must be
+  /// in the log by the time its impression is consumed.
+  Result<std::vector<AggregatedSession>> Consume(const std::string& dir);
+
+ private:
+  struct IdRange {  // the record ids first..last, both included
+    uint64_t first = 0;
+    uint64_t last = 0;
+  };
+
+  std::mutex mu_;
+  uint64_t watermark_ = 0;      // guarded by mu_
+  std::vector<IdRange> holes_;  // ascending, all <= watermark_; by mu_
+};
+
 /// The serving-side hook carried by ServeOptions::feedback: reranks the
 /// served list through `explorer` (when set) and appends the impression
 /// to `log` (when set). Either member may be null — explore-only serving

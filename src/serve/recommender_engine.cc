@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "core/snapshot_io.h"
+#include "log/shard_partitioner.h"
 #include "serve/feedback.h"
 #include "util/timer.h"
 
@@ -20,28 +21,139 @@ size_t ResolveThreads(size_t requested) {
   return std::clamp<size_t>(hw == 0 ? 1 : hw, 1, 16);
 }
 
-/// First-touch scratch pre-sizing: the first request a scratch serves
-/// against a given snapshot reserves every buffer to the snapshot's hint,
-/// so steady-state serving allocates nothing. Done lazily per
-/// (scratch, snapshot) pair — publish-time sizing would mutate lane
-/// scratch buffers that in-flight batches are still using.
-SnapshotScratch& PreparedFor(const ServingSnapshot* model,
-                             SnapshotScratch& scratch) {
-  if (scratch.prepared_for != model) {
-    scratch.Prepare(model->ScratchHint());
-    scratch.prepared_for = model;
+/// Answers one context from `model` and applies the feedback hook (which
+/// may rerank `*rec`); returns the hook's impression record id. The first
+/// request a scratch serves against a given snapshot reserves every buffer
+/// to the snapshot's hint, so steady-state serving allocates nothing —
+/// lazily per (scratch, snapshot) pair, because publish-time sizing would
+/// mutate lane scratch that in-flight batches are still using. Prepare
+/// only ever grows capacities, so a scratch hopping between fleet shards
+/// settles at the fleet-wide maxima and the re-checks become no-ops.
+uint64_t ServeOne(const ServingSnapshot& model, ContextRef context,
+                  size_t top_n, const FeedbackHook* feedback,
+                  SnapshotScratch& scratch, Recommendation* rec) {
+  if (scratch.prepared_for != &model) {
+    scratch.Prepare(model.ScratchHint());
+    scratch.prepared_for = &model;
   }
-  return scratch;
+  *rec = model.Recommend(context, top_n, &scratch);
+  return feedback == nullptr ? 0
+                             : feedback->OnServed(context, model.version(),
+                                                  rec);
+}
+
+double MicrosSince(Deadline::Clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(Deadline::Clock::now() -
+                                                   start)
+      .count();
 }
 
 }  // namespace
 
-RecommenderEngine::RecommenderEngine(EngineOptions options)
-    : options_(options),
-      pool_(ResolveThreads(options.num_threads)),
-      admission_(options.admission) {
+namespace internal {
+
+BatchRunner::BatchRunner(size_t num_threads,
+                         const AdmissionOptions& admission)
+    : pool_(ResolveThreads(num_threads)), admission_(admission) {
   lane_scratch_.resize(pool_.num_lanes());
 }
+
+BatchResult BatchRunner::Run(
+    std::span<const ContextRef> contexts, size_t top_n,
+    const ServeOptions& options,
+    std::span<const std::shared_ptr<const ServingSnapshot>> snapshots) {
+  const Deadline::Clock::time_point start = Deadline::Clock::now();
+  const size_t n = contexts.size();
+  BatchResult out;
+  out.results.resize(n);
+  out.statuses.assign(n, StatusCode::kOk);
+  out.effective_top_n = top_n;
+
+  queries_.fetch_add(n, std::memory_order_relaxed);
+  batches_.fetch_add(1, std::memory_order_relaxed);
+
+  if (options.deadline.Expired(start)) {
+    admission_.CountShed(options.lane, StatusCode::kDeadlineExceeded);
+    out.admission = Status::DeadlineExceeded("deadline expired on arrival");
+    std::fill(out.statuses.begin(), out.statuses.end(),
+              StatusCode::kDeadlineExceeded);
+    return out;
+  }
+  if (n == 0) return out;
+
+  const size_t effective_top_n =
+      admission_.DegradedTopN(top_n, options.deadline);
+  out.effective_top_n = effective_top_n;
+  out.degraded = effective_top_n < top_n;
+
+  // One task per item on both paths. With a bounded deadline, a clock
+  // read before every 32nd item flips `expired`; every item from then on
+  // is returned unserved with an explicit status instead of blocking past
+  // the deadline. The first stride is covered by the arrival check
+  // (inline) or by the admission grant, which only happens in time.
+  const bool bounded = options.deadline.bounded();
+  std::atomic<bool> expired{false};
+  const uint32_t num_routes = static_cast<uint32_t>(snapshots.size());
+  const auto serve = [&](size_t i, SnapshotScratch& scratch) {
+    if (bounded && (expired.load(std::memory_order_relaxed) ||
+                    (i != 0 && (i & 31u) == 0 &&
+                     options.deadline.Expired()))) {
+      expired.store(true, std::memory_order_relaxed);
+      out.statuses[i] = StatusCode::kDeadlineExceeded;
+      return;
+    }
+    const ServingSnapshot* model =
+        snapshots[num_routes == 1 ? 0 : ShardOfContext(contexts[i],
+                                                       num_routes)]
+            .get();
+    if (model == nullptr) {
+      // Unpublished replica or dead shard: uncovered-empty answer with an
+      // explicit status; items routed elsewhere are served as usual.
+      out.statuses[i] = StatusCode::kUnavailable;
+      return;
+    }
+    ServeOne(*model, contexts[i], effective_top_n, options.feedback, scratch,
+             &out.results[i]);
+  };
+
+  const bool pooled = pool_.num_lanes() > 1 && n >= kMinBatchFanout;
+  double service_us = 0.0;
+  if (pooled) {
+    const Status admitted =
+        admission_.Admit(options.lane, options.deadline, n);
+    if (!admitted.ok()) {
+      std::fill(out.statuses.begin(), out.statuses.end(), admitted.code());
+      out.admission = admitted;
+      return out;
+    }
+    const WallTimer service;
+    pool_.Run(n, [&](size_t i, size_t lane) { serve(i, lane_scratch_[lane]); });
+    service_us = service.ElapsedSeconds() * 1e6;
+  } else {
+    // Inline path: no slot contention, but the deadline still cuts the
+    // batch short so a caller never blocks past it on a huge inline run.
+    SnapshotScratch& scratch = ThreadScratch();
+    for (size_t i = 0; i < n; ++i) serve(i, scratch);
+  }
+
+  size_t expired_items = 0;
+  for (const StatusCode code : out.statuses) {
+    if (code == StatusCode::kOk) {
+      ++out.served;
+    } else if (code == StatusCode::kDeadlineExceeded) {
+      ++expired_items;
+    }
+  }
+  if (pooled) admission_.Release(out.served, service_us);
+  admission_.RecordServed(options.lane, MicrosSince(start), out.degraded,
+                          expired_items);
+  return out;
+}
+
+}  // namespace internal
+
+RecommenderEngine::RecommenderEngine(EngineOptions options)
+    : batch_(options.num_threads, options.admission) {}
 
 void RecommenderEngine::Publish(
     std::shared_ptr<const ServingSnapshot> snapshot) {
@@ -70,116 +182,11 @@ uint64_t RecommenderEngine::current_version() const {
 BatchResult RecommenderEngine::RecommendMany(
     std::span<const ContextRef> contexts, size_t top_n,
     const ServeOptions& options) const {
-  const Deadline::Clock::time_point start = Deadline::Clock::now();
-  const size_t n = contexts.size();
-  BatchResult out;
-  out.results.resize(n);
-  out.statuses.assign(n, StatusCode::kOk);
-  out.effective_top_n = top_n;
-
-  queries_served_[0].value.fetch_add(n, std::memory_order_relaxed);
-  batches_served_.fetch_add(1, std::memory_order_relaxed);
-
-  if (options.deadline.Expired(start)) {
-    admission_.CountShed(options.lane, StatusCode::kDeadlineExceeded);
-    out.admission = Status::DeadlineExceeded("deadline expired on arrival");
-    std::fill(out.statuses.begin(), out.statuses.end(),
-              StatusCode::kDeadlineExceeded);
-    return out;
-  }
-
   // One snapshot grab for the whole batch: even if a retrain publishes
   // mid-batch, every result comes from the same model generation.
   const std::shared_ptr<const ServingSnapshot> snapshot = CurrentSnapshot();
+  BatchResult out = batch_.Run(contexts, top_n, options, {&snapshot, 1});
   out.served_version = snapshot == nullptr ? 0 : snapshot->version();
-  if (snapshot == nullptr) {
-    // No published model: uncovered-empty answers (legacy contract), with
-    // the per-item status making the cause explicit.
-    std::fill(out.statuses.begin(), out.statuses.end(),
-              StatusCode::kUnavailable);
-    return out;
-  }
-  if (n == 0) {
-    out.effective_top_n = top_n;
-    return out;
-  }
-
-  const size_t effective_top_n =
-      admission_.DegradedTopN(top_n, options.deadline);
-  out.effective_top_n = effective_top_n;
-  out.degraded = effective_top_n < top_n;
-  const ServingSnapshot* model = snapshot.get();
-  size_t expired_items = 0;
-
-  if (pool_.num_lanes() == 1 || n < options_.min_batch_fanout) {
-    // Inline path: no slot contention, but the deadline still cuts the
-    // batch short so a caller never blocks past it on a huge inline run.
-    SnapshotScratch& scratch = PreparedFor(model, ThreadScratch());
-    for (size_t i = 0; i < n; ++i) {
-      if (options.deadline.bounded() && (i & 31u) == 0 && i != 0 &&
-          options.deadline.Expired()) {
-        for (size_t j = i; j < n; ++j) {
-          out.statuses[j] = StatusCode::kDeadlineExceeded;
-        }
-        expired_items = n - i;
-        break;
-      }
-      out.results[i] = model->Recommend(contexts[i], effective_top_n,
-                                        &scratch);
-      if (options.feedback != nullptr) {
-        options.feedback->OnServed(contexts[i], out.served_version,
-                                   &out.results[i]);
-      }
-    }
-  } else {
-    const Status admitted =
-        admission_.Admit(options.lane, options.deadline, n);
-    if (!admitted.ok()) {
-      std::fill(out.statuses.begin(), out.statuses.end(), admitted.code());
-      out.admission = admitted;
-      return out;
-    }
-    std::atomic<bool> expired{false};
-    const bool bounded = options.deadline.bounded();
-    WallTimer service;
-    pool_.Run(n, [&, model](size_t i, size_t lane) {
-      if (bounded) {
-        // Mid-batch deadline checks: one stride-32 clock read flips the
-        // flag; every task after it returns its item unserved with an
-        // explicit per-item status instead of blocking past the deadline.
-        if (expired.load(std::memory_order_relaxed)) {
-          out.statuses[i] = StatusCode::kDeadlineExceeded;
-          return;
-        }
-        if ((i & 31u) == 0 && options.deadline.Expired()) {
-          expired.store(true, std::memory_order_relaxed);
-          out.statuses[i] = StatusCode::kDeadlineExceeded;
-          return;
-        }
-      }
-      out.results[i] = model->Recommend(
-          contexts[i], effective_top_n,
-          &PreparedFor(model, lane_scratch_[lane]));
-      if (options.feedback != nullptr) {
-        options.feedback->OnServed(contexts[i], out.served_version,
-                                   &out.results[i]);
-      }
-    });
-    if (expired.load(std::memory_order_relaxed)) {
-      for (const StatusCode code : out.statuses) {
-        if (code == StatusCode::kDeadlineExceeded) ++expired_items;
-      }
-    }
-    admission_.Release(n - expired_items, service.ElapsedSeconds() * 1e6);
-  }
-
-  out.served = n - expired_items;
-  const double latency_us =
-      std::chrono::duration<double, std::micro>(Deadline::Clock::now() -
-                                                start)
-          .count();
-  admission_.RecordServed(options.lane, latency_us, out.degraded,
-                          expired_items);
   return out;
 }
 
@@ -191,31 +198,20 @@ ServeResult RecommenderEngine::Recommend(ContextRef context, size_t top_n,
       kCounterShards;
   queries_served_[counter_slot].value.fetch_add(1,
                                                 std::memory_order_relaxed);
-  if (!options.deadline.bounded()) {
-    // Unbounded fast path — the legacy single-query hot path: no clock
-    // reads, no degrade check, no QoS accounting (an unbounded request is
-    // by contract never shed or degraded, so there is nothing to record
-    // that the serving counters above don't already).
-    const std::shared_ptr<const ServingSnapshot> snapshot =
-        CurrentSnapshot();
-    if (snapshot == nullptr) {
-      out.status = StatusCode::kUnavailable;
+  // An unbounded request takes the legacy hot path: no clock reads, no
+  // degrade check, no QoS accounting (it is by contract never shed or
+  // degraded, so there is nothing to record that the serving counters
+  // above don't already).
+  const bool bounded = options.deadline.bounded();
+  Deadline::Clock::time_point start;
+  if (bounded) {
+    start = Deadline::Clock::now();
+    if (options.deadline.Expired(start)) {
+      batch_.admission().CountShed(options.lane,
+                                   StatusCode::kDeadlineExceeded);
+      out.status = StatusCode::kDeadlineExceeded;
       return out;
     }
-    out.served_version = snapshot->version();
-    out.recommendation = snapshot->Recommend(
-        context, top_n, &PreparedFor(snapshot.get(), ThreadScratch()));
-    if (options.feedback != nullptr) {
-      out.feedback_record_id = options.feedback->OnServed(
-          context, out.served_version, &out.recommendation);
-    }
-    return out;
-  }
-  const Deadline::Clock::time_point start = Deadline::Clock::now();
-  if (options.deadline.Expired(start)) {
-    admission_.CountShed(options.lane, StatusCode::kDeadlineExceeded);
-    out.status = StatusCode::kDeadlineExceeded;
-    return out;
   }
   const std::shared_ptr<const ServingSnapshot> snapshot = CurrentSnapshot();
   if (snapshot == nullptr) {
@@ -224,20 +220,16 @@ ServeResult RecommenderEngine::Recommend(ContextRef context, size_t top_n,
   }
   out.served_version = snapshot->version();
   const size_t effective_top_n =
-      admission_.DegradedTopN(top_n, options.deadline);
+      bounded ? batch_.admission().DegradedTopN(top_n, options.deadline)
+              : top_n;
   out.degraded = effective_top_n < top_n;
-  out.recommendation = snapshot->Recommend(
-      context, effective_top_n,
-      &PreparedFor(snapshot.get(), ThreadScratch()));
-  if (options.feedback != nullptr) {
-    out.feedback_record_id = options.feedback->OnServed(
-        context, out.served_version, &out.recommendation);
+  out.feedback_record_id =
+      ServeOne(*snapshot, context, effective_top_n, options.feedback,
+               ThreadScratch(), &out.recommendation);
+  if (bounded) {
+    batch_.admission().RecordServed(options.lane, MicrosSince(start),
+                                    out.degraded, 0);
   }
-  const double latency_us =
-      std::chrono::duration<double, std::micro>(Deadline::Clock::now() -
-                                                start)
-          .count();
-  admission_.RecordServed(options.lane, latency_us, out.degraded, 0);
   return out;
 }
 
@@ -246,10 +238,11 @@ EngineStats RecommenderEngine::stats() const {
   for (const CounterShard& shard : queries_served_) {
     stats.queries_served += shard.value.load(std::memory_order_relaxed);
   }
-  stats.batches_served = batches_served_.load(std::memory_order_relaxed);
+  stats.queries_served += batch_.queries();
+  stats.batches_served = batch_.batches();
   stats.snapshots_published =
       snapshots_published_.load(std::memory_order_relaxed);
-  stats.admission = admission_.stats();
+  stats.admission = batch_.admission().stats();
   return stats;
 }
 

@@ -73,15 +73,16 @@ class AtomicSnapshotPtr {
 #endif
 };
 
+/// Batches smaller than this run inline on the calling thread — fanning
+/// out a handful of microsecond-scale walks costs more than it buys. Both
+/// engines use it; callers that want the inline path send smaller batches.
+inline constexpr size_t kMinBatchFanout = 32;
+
 struct EngineOptions {
   /// Worker lanes for batched serving, including the calling thread
   /// (0 = hardware concurrency clamped to [1, 16]; explicit values are
   /// clamped to [1, 64]). Single-query Recommend never touches the pool.
   size_t num_threads = 0;
-
-  /// Batches smaller than this run inline on the calling thread — fanning
-  /// out a handful of microsecond-scale walks costs more than it buys.
-  size_t min_batch_fanout = 32;
 
   /// Admission-control knobs for the batch execution slot (lane bounds,
   /// EWMA estimator, degrade ladder). Defaults keep no-deadline traffic
@@ -102,6 +103,53 @@ struct EngineStats {
   /// clock-free.
   AdmissionStats admission;
 };
+
+namespace internal {
+
+/// The batch runtime both engines own — worker pool, admission queue,
+/// per-lane scratch, batch counters — and the one RecommendMany loop. The
+/// engine grabs its snapshot(s) once per batch; item i is answered by
+/// snapshots[ShardOfContext(contexts[i], snapshots.size())] (the only
+/// snapshot, or the owning shard's) and is kUnavailable when that is null.
+/// In order: a deadline expired on arrival sheds the batch; an empty batch
+/// returns without admission; batches of kMinBatchFanout items or more on
+/// a multi-lane pool are admitted and fan out, smaller ones run inline,
+/// and both are cut at the deadline every 32 items; `served` counts kOk
+/// items. tests/serve/deadline_serving_test.cc pins this contract for
+/// both engines.
+class BatchRunner {
+ public:
+  BatchRunner(size_t num_threads, const AdmissionOptions& admission);
+
+  /// Answers `contexts` from `snapshots` (at least one).
+  /// BatchResult::served_version is left 0.
+  BatchResult Run(std::span<const ContextRef> contexts, size_t top_n,
+                  const ServeOptions& options,
+                  std::span<const std::shared_ptr<const ServingSnapshot>>
+                      snapshots);
+
+  size_t num_lanes() const { return pool_.num_lanes(); }
+
+  /// The batch slot's queue; single-query paths use its degrade ladder
+  /// and QoS counters too.
+  AdmissionQueue& admission() { return admission_; }
+
+  uint64_t queries() const { return queries_.load(std::memory_order_relaxed); }
+  uint64_t batches() const { return batches_.load(std::memory_order_relaxed); }
+
+ private:
+  WorkerPool pool_;
+  /// One job at a time on the pool; concurrent batch callers wait (or are
+  /// shed) in the bounded two-lane admission queue instead of convoying
+  /// on a mutex.
+  AdmissionQueue admission_;
+  /// Per-lane scratch for pooled jobs, guarded by admission-slot ownership.
+  std::vector<SnapshotScratch> lane_scratch_;
+  std::atomic<uint64_t> queries_{0};
+  std::atomic<uint64_t> batches_{0};
+};
+
+}  // namespace internal
 
 /// The concurrent serving front-end of the recommender: any number of
 /// threads call Recommend / RecommendMany while retraining publishes fresh
@@ -172,41 +220,26 @@ class RecommenderEngine {
   /// unmeetable given the EWMA backlog estimate), cut mid-batch when the
   /// deadline expires (partial results, remaining items marked
   /// kDeadlineExceeded), or served with a reduced top_n under overload.
-  /// Per-item outcomes are in BatchResult::statuses.
+  /// Per-item outcomes are in BatchResult::statuses (kUnavailable before
+  /// the first Publish); the batch contract is internal::BatchRunner's.
+  /// BatchResult::served_version is the grabbed snapshot's version.
   BatchResult RecommendMany(std::span<const ContextRef> contexts,
                             size_t top_n, const ServeOptions& options) const;
 
   /// The batched path for callers holding owned query sequences.
   BatchResult RecommendMany(const std::vector<std::vector<QueryId>>& contexts,
                             size_t top_n, const ServeOptions& options) const {
-    return RecommendMany(AsRefs(contexts), top_n, options);
+    return RecommendMany(
+        std::vector<ContextRef>(contexts.begin(), contexts.end()), top_n,
+        options);
   }
 
-  size_t num_threads() const { return pool_.num_lanes(); }
+  size_t num_threads() const { return batch_.num_lanes(); }
   EngineStats stats() const;
 
  private:
-  /// Borrowed-view projection of owned query sequences (the returned refs
-  /// are only valid while `contexts` is).
-  static std::vector<ContextRef> AsRefs(
-      const std::vector<std::vector<QueryId>>& contexts) {
-    std::vector<ContextRef> refs;
-    refs.reserve(contexts.size());
-    for (const std::vector<QueryId>& context : contexts) {
-      refs.emplace_back(context.data(), context.size());
-    }
-    return refs;
-  }
-
-  EngineOptions options_;
   AtomicSnapshotPtr snapshot_;
-  mutable WorkerPool pool_;
-  /// The batch execution slot: one job at a time on the pool; concurrent
-  /// batch callers wait (or are shed) in the bounded two-lane admission
-  /// queue instead of convoying on a mutex.
-  mutable AdmissionQueue admission_;
-  /// Per-lane scratch for batch jobs, guarded by admission-slot ownership.
-  mutable std::vector<SnapshotScratch> lane_scratch_;
+  mutable internal::BatchRunner batch_;
   /// The per-query counter is sharded across cache-line-padded slots
   /// (indexed by a thread-stable hash) so concurrent single-query readers
   /// don't ping-pong one line on the hot path; stats() sums the shards.
@@ -215,7 +248,6 @@ class RecommenderEngine {
   };
   static constexpr size_t kCounterShards = 16;
   mutable std::array<CounterShard, kCounterShards> queries_served_;
-  mutable std::atomic<uint64_t> batches_served_{0};
   std::atomic<uint64_t> snapshots_published_{0};
 };
 

@@ -1,23 +1,13 @@
 #include "serve/sharded_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
-#include <thread>
 #include <unordered_map>
 
 #include "core/pst.h"
-#include "serve/feedback.h"
-#include "util/timer.h"
 
 namespace sqp {
 namespace {
-
-size_t ResolvePoolThreads(size_t requested) {
-  if (requested != 0) return std::clamp<size_t>(requested, 1, 64);
-  const size_t hw = std::thread::hardware_concurrency();
-  return std::clamp<size_t>(hw == 0 ? 1 : hw, 1, 16);
-}
 
 /// The global root state of the undivided corpus: the prior over next
 /// queries that Pst::BuildImpl derives from the depth-1 entries, which
@@ -49,51 +39,69 @@ Pst::Node GlobalRootState(const std::vector<AggregatedSession>& corpus) {
   return root;
 }
 
+/// Loads a manifest, refusing one whose shard count is not `num_shards`.
+Result<SnapshotManifest> LoadFleetManifest(const std::string& manifest_path,
+                                           size_t num_shards) {
+  Result<SnapshotManifest> manifest = SnapshotIo::LoadManifest(manifest_path);
+  if (manifest.ok() && manifest->num_shards() != num_shards) {
+    return Status::InvalidArgument(
+        "manifest has " + std::to_string(manifest->num_shards()) +
+        " shards but the engine has " + std::to_string(num_shards) + ": " +
+        manifest_path);
+  }
+  return manifest;
+}
+
 }  // namespace
+
+// ------------------------------------------------------------- fleet boot
+
+Result<std::shared_ptr<const MappedCompactSnapshot>> MapFleetShard(
+    const SnapshotManifest& manifest, const std::string& manifest_path,
+    size_t shard, const SnapshotLoadOptions& options) {
+  if (manifest.partition_function != kShardPartitionLastQueryFnv1a) {
+    return Status::InvalidArgument(
+        "manifest partition function " +
+        std::to_string(manifest.partition_function) +
+        " is not the last-query FNV-1a scheme this build routes with: " +
+        manifest_path);
+  }
+  if (shard >= manifest.num_shards()) {
+    return Status::InvalidArgument(
+        "shard index " + std::to_string(shard) + " out of range for " +
+        std::to_string(manifest.num_shards()) + "-shard manifest " +
+        manifest_path);
+  }
+  const ShardBlobRef& ref = manifest.shards[shard];
+  const std::string blob_path =
+      ResolveAgainstManifest(manifest_path, ref.path);
+  SQP_RETURN_IF_ERROR(SnapshotIo::VerifyBlobRef(ref, blob_path));
+  return SnapshotIo::Map(blob_path, options);
+}
 
 // ----------------------------------------------------------------- engine
 
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
-    : options_(options),
-      pool_(ResolvePoolThreads(options.num_threads)),
-      admission_(options.admission) {
+    : batch_(options.num_threads, options.admission) {
   const size_t shards = std::clamp<size_t>(options.num_shards, 1, 4096);
   shards_.reserve(shards);
-  EngineOptions shard_options;
-  shard_options.num_threads = 1;
   for (size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<RecommenderEngine>(shard_options));
+    shards_.push_back(
+        std::make_unique<RecommenderEngine>(EngineOptions{.num_threads = 1}));
   }
-  lane_scratch_.resize(pool_.num_lanes());
 }
 
 Status ShardedEngine::LoadAndPublish(const std::string& manifest_path,
                                      const SnapshotLoadOptions& options) {
-  Result<SnapshotManifest> manifest = SnapshotIo::LoadManifest(manifest_path);
+  auto manifest = LoadFleetManifest(manifest_path, shards_.size());
   if (!manifest.ok()) return manifest.status();
-  if (manifest->num_shards() != shards_.size()) {
-    return Status::InvalidArgument(
-        "manifest has " + std::to_string(manifest->num_shards()) +
-        " shards but the engine has " + std::to_string(shards_.size()) +
-        ": " + manifest_path);
-  }
-  if (manifest->partition_function != kShardPartitionLastQueryFnv1a) {
-    return Status::InvalidArgument(
-        "manifest partition function " +
-        std::to_string(manifest->partition_function) +
-        " is not the last-query FNV-1a scheme this build routes with: " +
-        manifest_path);
-  }
   // Stage everything before publishing anything: a fleet boot is all or
   // nothing, and a failure leaves the current snapshots serving.
   std::vector<std::shared_ptr<const MappedCompactSnapshot>> staged;
   staged.reserve(shards_.size());
-  for (const ShardBlobRef& ref : manifest->shards) {
-    const std::string blob_path =
-        ResolveAgainstManifest(manifest_path, ref.path);
-    SQP_RETURN_IF_ERROR(SnapshotIo::VerifyBlobRef(ref, blob_path));
+  for (size_t s = 0; s < shards_.size(); ++s) {
     Result<std::shared_ptr<const MappedCompactSnapshot>> mapped =
-        SnapshotIo::Map(blob_path, options);
+        MapFleetShard(*manifest, manifest_path, s, options);
     if (!mapped.ok()) return mapped.status();
     staged.push_back(std::move(mapped.value()));
   }
@@ -105,45 +113,20 @@ Status ShardedEngine::LoadAndPublish(const std::string& manifest_path,
 
 Result<FleetBootReport> ShardedEngine::LoadAndPublishAvailable(
     const std::string& manifest_path, const SnapshotLoadOptions& options) {
-  Result<SnapshotManifest> manifest = SnapshotIo::LoadManifest(manifest_path);
+  auto manifest = LoadFleetManifest(manifest_path, shards_.size());
   if (!manifest.ok()) return manifest.status();
-  if (manifest->num_shards() != shards_.size()) {
-    return Status::InvalidArgument(
-        "manifest has " + std::to_string(manifest->num_shards()) +
-        " shards but the engine has " + std::to_string(shards_.size()) +
-        ": " + manifest_path);
-  }
-  if (manifest->partition_function != kShardPartitionLastQueryFnv1a) {
-    return Status::InvalidArgument(
-        "manifest partition function " +
-        std::to_string(manifest->partition_function) +
-        " is not the last-query FNV-1a scheme this build routes with: " +
-        manifest_path);
-  }
   FleetBootReport report;
   report.shard_status.reserve(shards_.size());
-  for (size_t s = 0; s < manifest->shards.size(); ++s) {
-    const ShardBlobRef& ref = manifest->shards[s];
-    const std::string blob_path =
-        ResolveAgainstManifest(manifest_path, ref.path);
-    Status status = SnapshotIo::VerifyBlobRef(ref, blob_path);
-    if (status.ok()) {
-      Result<std::shared_ptr<const MappedCompactSnapshot>> mapped =
-          SnapshotIo::Map(blob_path, options);
-      if (mapped.ok()) {
-        shards_[s]->Publish(std::move(mapped.value()));
-        ++report.healthy_shards;
-      } else {
-        status = mapped.status();
-      }
-    }
-    report.shard_status.push_back(std::move(status));
-  }
-  if (report.healthy_shards == 0) {
-    for (const Status& status : report.shard_status) {
-      if (!status.ok()) return status;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Result<std::shared_ptr<const MappedCompactSnapshot>> mapped =
+        MapFleetShard(*manifest, manifest_path, s, options);
+    report.shard_status.push_back(mapped.status());
+    if (mapped.ok()) {
+      shards_[s]->Publish(std::move(mapped.value()));
+      ++report.healthy_shards;
     }
   }
+  if (report.healthy_shards == 0) return report.shard_status.front();
   return report;
 }
 
@@ -168,25 +151,6 @@ ServeResult ShardedEngine::Recommend(ContextRef context, size_t top_n,
 BatchResult ShardedEngine::RecommendMany(
     std::span<const ContextRef> contexts, size_t top_n,
     const ServeOptions& options) const {
-  const Deadline::Clock::time_point start = Deadline::Clock::now();
-  const size_t n = contexts.size();
-  BatchResult out;
-  out.results.resize(n);
-  out.statuses.assign(n, StatusCode::kOk);
-  out.effective_top_n = top_n;
-
-  batch_queries_.fetch_add(n, std::memory_order_relaxed);
-  batches_served_.fetch_add(1, std::memory_order_relaxed);
-
-  if (options.deadline.Expired(start)) {
-    admission_.CountShed(options.lane, StatusCode::kDeadlineExceeded);
-    out.admission = Status::DeadlineExceeded("deadline expired on arrival");
-    std::fill(out.statuses.begin(), out.statuses.end(),
-              StatusCode::kDeadlineExceeded);
-    return out;
-  }
-  if (n == 0) return out;
-
   // One snapshot grab per shard for the whole batch: a swap landing
   // mid-batch cannot mix generations within a shard's answers.
   std::vector<std::shared_ptr<const ServingSnapshot>> snapshots(
@@ -194,93 +158,7 @@ BatchResult ShardedEngine::RecommendMany(
   for (size_t s = 0; s < shards_.size(); ++s) {
     snapshots[s] = shards_[s]->CurrentSnapshot();
   }
-
-  const size_t effective_top_n =
-      admission_.DegradedTopN(top_n, options.deadline);
-  out.effective_top_n = effective_top_n;
-  out.degraded = effective_top_n < top_n;
-  size_t expired_items = 0;
-
-  const auto answer = [&](size_t i, SnapshotScratch* scratch) {
-    const ServingSnapshot* snapshot =
-        snapshots[OwningShard(contexts[i])].get();
-    if (snapshot != nullptr) {
-      // First-touch pre-sizing per routed shard; Prepare only ever grows
-      // capacities, so a scratch hopping between shards settles at the
-      // fleet-wide maxima and the re-checks become no-ops.
-      if (scratch->prepared_for != snapshot) {
-        scratch->Prepare(snapshot->ScratchHint());
-        scratch->prepared_for = snapshot;
-      }
-      out.results[i] =
-          snapshot->Recommend(contexts[i], effective_top_n, scratch);
-      if (options.feedback != nullptr) {
-        options.feedback->OnServed(contexts[i], snapshot->version(),
-                                   &out.results[i]);
-      }
-    } else {
-      // Dead / never-published shard: uncovered-empty answer with an
-      // explicit status — healthy shards keep serving around it.
-      out.statuses[i] = StatusCode::kUnavailable;
-    }
-  };
-
-  if (pool_.num_lanes() == 1 || n < options_.min_batch_fanout) {
-    SnapshotScratch& scratch = internal::ThreadScratch();
-    for (size_t i = 0; i < n; ++i) {
-      if (options.deadline.bounded() && (i & 31u) == 0 && i != 0 &&
-          options.deadline.Expired()) {
-        for (size_t j = i; j < n; ++j) {
-          out.statuses[j] = StatusCode::kDeadlineExceeded;
-        }
-        expired_items = n - i;
-        break;
-      }
-      answer(i, &scratch);
-    }
-  } else {
-    const Status admitted =
-        admission_.Admit(options.lane, options.deadline, n);
-    if (!admitted.ok()) {
-      std::fill(out.statuses.begin(), out.statuses.end(), admitted.code());
-      out.admission = admitted;
-      return out;
-    }
-    std::atomic<bool> expired{false};
-    const bool bounded = options.deadline.bounded();
-    WallTimer service;
-    pool_.Run(n, [&](size_t i, size_t lane) {
-      if (bounded) {
-        if (expired.load(std::memory_order_relaxed)) {
-          out.statuses[i] = StatusCode::kDeadlineExceeded;
-          return;
-        }
-        if ((i & 31u) == 0 && options.deadline.Expired()) {
-          expired.store(true, std::memory_order_relaxed);
-          out.statuses[i] = StatusCode::kDeadlineExceeded;
-          return;
-        }
-      }
-      answer(i, &lane_scratch_[lane]);
-    });
-    if (expired.load(std::memory_order_relaxed)) {
-      for (const StatusCode code : out.statuses) {
-        if (code == StatusCode::kDeadlineExceeded) ++expired_items;
-      }
-    }
-    admission_.Release(n - expired_items, service.ElapsedSeconds() * 1e6);
-  }
-
-  for (const StatusCode code : out.statuses) {
-    if (code == StatusCode::kOk) ++out.served;
-  }
-  const double latency_us =
-      std::chrono::duration<double, std::micro>(Deadline::Clock::now() -
-                                                start)
-          .count();
-  admission_.RecordServed(options.lane, latency_us, out.degraded,
-                          expired_items);
-  return out;
+  return batch_.Run(contexts, top_n, options, snapshots);
 }
 
 std::vector<uint64_t> ShardedEngine::shard_versions() const {
@@ -294,22 +172,18 @@ std::vector<uint64_t> ShardedEngine::shard_versions() const {
 ShardedStats ShardedEngine::stats() const {
   ShardedStats stats;
   stats.shard_versions = shard_versions();
-  stats.min_version = stats.shard_versions.empty()
-                          ? 0
-                          : *std::min_element(stats.shard_versions.begin(),
-                                              stats.shard_versions.end());
-  stats.max_version = stats.shard_versions.empty()
-                          ? 0
-                          : *std::max_element(stats.shard_versions.begin(),
-                                              stats.shard_versions.end());
-  stats.queries_served = batch_queries_.load(std::memory_order_relaxed);
-  stats.admission = admission_.stats();
+  const auto [min_version, max_version] = std::minmax_element(
+      stats.shard_versions.begin(), stats.shard_versions.end());
+  stats.min_version = *min_version;
+  stats.max_version = *max_version;
+  stats.queries_served = batch_.queries();
+  stats.admission = batch_.admission().stats();
   for (const auto& shard : shards_) {
     const EngineStats shard_stats = shard->stats();
     stats.queries_served += shard_stats.queries_served;
     stats.admission.MergeFrom(shard_stats.admission);
   }
-  stats.batches_served = batches_served_.load(std::memory_order_relaxed);
+  stats.batches_served = batch_.batches();
   return stats;
 }
 
@@ -577,21 +451,10 @@ void ShardedRetrainerSet::AppendSessions(
 }
 
 Result<size_t> ShardedRetrainerSet::ConsumeFeedback(const std::string& dir) {
-  std::lock_guard<std::mutex> lock(feedback_mu_);
-  Result<std::vector<FeedbackRecord>> records = ReadFeedbackLog(dir);
-  if (!records.ok()) return records.status();
-  std::vector<FeedbackRecord> fresh;
-  uint64_t max_id = feedback_watermark_;
-  for (FeedbackRecord& record : *records) {
-    if (record.record_id <= feedback_watermark_) continue;
-    max_id = std::max(max_id, record.record_id);
-    fresh.push_back(std::move(record));
-  }
-  std::vector<AggregatedSession> sessions = SessionsFromFeedback(fresh);
-  const size_t routed = sessions.size();
-  if (!sessions.empty()) AppendSessions(sessions);
-  feedback_watermark_ = max_id;
-  return routed;
+  Result<std::vector<AggregatedSession>> sessions = feedback_.Consume(dir);
+  if (!sessions.ok()) return sessions.status();
+  if (!sessions->empty()) AppendSessions(*sessions);
+  return sessions->size();
 }
 
 Status ShardedRetrainerSet::RetrainShard(size_t s) {

@@ -39,7 +39,6 @@
 #include "log/shard_partitioner.h"
 #include "serve/recommender_engine.h"
 #include "serve/retrainer.h"
-#include "serve/worker_pool.h"
 #include "util/status.h"
 
 namespace sqp {
@@ -54,9 +53,6 @@ struct ShardedEngineOptions {
   /// sharded front-end owns all batch parallelism, so lanes are not
   /// multiplied by shards.
   size_t num_threads = 0;
-
-  /// Batches smaller than this run inline on the calling thread.
-  size_t min_batch_fanout = 32;
 
   /// Admission-control knobs for the fleet's batch execution slot (see
   /// serve/admission_queue.h). Shard engines keep their own (single-lane,
@@ -94,6 +90,17 @@ struct FleetBootReport {
   std::vector<Status> shard_status;
 };
 
+/// Boots one shard of a fleet: checks that `manifest` routes with the
+/// partition function this build uses and has a shard `shard`, resolves
+/// that shard's blob against the manifest location, checks the blob
+/// against its pin (SnapshotIo::VerifyBlobRef) and maps it zero-copy. The
+/// one boot step behind ShardedEngine::LoadAndPublish (all or nothing),
+/// ShardedEngine::LoadAndPublishAvailable (degraded) and
+/// net::ShardServer::StartFromManifest (one shard per process).
+Result<std::shared_ptr<const MappedCompactSnapshot>> MapFleetShard(
+    const SnapshotManifest& manifest, const std::string& manifest_path,
+    size_t shard, const SnapshotLoadOptions& options = {});
+
 /// The sharded serving front-end: routes every request to the shard owning
 /// its context and reassembles batch results positionally. Because each
 /// context is answered entirely by its owning shard — which serves the
@@ -114,7 +121,7 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   size_t num_shards() const { return shards_.size(); }
-  size_t num_threads() const { return pool_.num_lanes(); }
+  size_t num_threads() const { return batch_.num_lanes(); }
 
   /// The shard owning `context` (shard 0 for empty contexts, which are
   /// uncovered everywhere).
@@ -168,13 +175,10 @@ class ShardedEngine {
   ServeResult Recommend(ContextRef context, size_t top_n,
                         const ServeOptions& options) const;
 
-  /// THE cross-shard batched path: grabs every
-  /// shard's snapshot once, fans the contexts out across the pool (each
-  /// answered by its owning shard's snapshot), with the same admission /
-  /// mid-batch-expiry / degrade semantics as the single-engine overload
-  /// (per-item outcomes in BatchResult::statuses; items owned by an
-  /// unpublished shard are kUnavailable). BatchResult::served_version is
-  /// 0 — per-shard versions live in stats().
+  /// THE cross-shard batched path: grabs every shard's snapshot once and
+  /// runs RecommenderEngine's batch runtime over them, each item answered
+  /// by its owning shard (kUnavailable when that shard is unpublished).
+  /// BatchResult::served_version is 0 — per-shard versions are in stats().
   BatchResult RecommendMany(std::span<const ContextRef> contexts,
                             size_t top_n, const ServeOptions& options) const;
 
@@ -182,12 +186,9 @@ class ShardedEngine {
   /// sequences.
   BatchResult RecommendMany(const std::vector<std::vector<QueryId>>& contexts,
                             size_t top_n, const ServeOptions& options) const {
-    std::vector<ContextRef> refs;
-    refs.reserve(contexts.size());
-    for (const std::vector<QueryId>& context : contexts) {
-      refs.emplace_back(context.data(), context.size());
-    }
-    return RecommendMany(std::span<const ContextRef>(refs), top_n, options);
+    return RecommendMany(
+        std::vector<ContextRef>(contexts.begin(), contexts.end()), top_n,
+        options);
   }
 
   /// Per-shard snapshot versions (0 for never-published shards), index ==
@@ -197,14 +198,10 @@ class ShardedEngine {
   ShardedStats stats() const;
 
  private:
-  ShardedEngineOptions options_;
   std::vector<std::unique_ptr<RecommenderEngine>> shards_;
-  mutable WorkerPool pool_;
-  /// The fleet's batch execution slot (see RecommenderEngine::admission_).
-  mutable AdmissionQueue admission_;
-  mutable std::vector<SnapshotScratch> lane_scratch_;
-  mutable std::atomic<uint64_t> batch_queries_{0};
-  mutable std::atomic<uint64_t> batches_served_{0};
+  /// The fleet's batch runtime: all cross-shard batch parallelism and
+  /// admission happen here, never in the single-lane shard engines.
+  mutable internal::BatchRunner batch_;
 };
 
 // --------------------------------------------------------------- training
@@ -322,13 +319,13 @@ class ShardedRetrainerSet {
   /// Thread-safe.
   void AppendSessions(const std::vector<AggregatedSession>& sessions);
 
-  /// Fleet spelling of Retrainer::ConsumeFeedback: reads the feedback log
-  /// at `dir`, converts clicked impressions past the set's consume
-  /// watermark into sessions and routes them through AppendSessions (so
-  /// each lands on exactly the shards whose counts it affects, with the
-  /// same lazy-bootstrap handling). Returns the number of sessions
-  /// routed. Idempotent per record id; same click-before-consume ordering
-  /// contract as the single-engine version. Thread-safe.
+  /// Fleet spelling of Retrainer::ConsumeFeedback: the set's
+  /// FeedbackConsumer reads the feedback log at `dir` and the fresh
+  /// sessions are routed through AppendSessions (so each lands on exactly
+  /// the shards whose counts it affects, with the same lazy-bootstrap
+  /// handling). Returns the number of sessions routed. Same once-per-
+  /// impression and click-before-consume contract as the single-engine
+  /// version. Thread-safe.
   Result<size_t> ConsumeFeedback(const std::string& dir);
 
   /// Rebuilds and republishes one shard (no-op when nothing is pending
@@ -379,9 +376,7 @@ class ShardedRetrainerSet {
   /// yet — retained (never dropped) and retried with the next append.
   /// Guarded by append_mu_.
   std::vector<std::vector<AggregatedSession>> lazy_pending_;
-  /// Serializes ConsumeFeedback and guards the fleet's consume watermark.
-  std::mutex feedback_mu_;
-  uint64_t feedback_watermark_ = 0;
+  FeedbackConsumer feedback_;
   std::atomic<bool> refresh_enabled_{false};
   /// Serializes manifest rewrites and guards manifest_status_.
   mutable std::mutex manifest_mu_;

@@ -21,7 +21,8 @@ namespace sqp {
 /// single-threaded configuration pays no synchronization at all.
 ///
 /// One job runs at a time; concurrent Run calls must be serialized by the
-/// caller (RecommenderEngine holds a batch mutex around it). The task
+/// caller (internal::BatchRunner runs it only while holding its admission
+/// slot). The task
 /// callback receives (task_index, lane) with lane < num_lanes and lane 0 the
 /// caller, so per-lane scratch needs no further locking.
 class WorkerPool {

@@ -161,13 +161,13 @@ TEST(SnapshotIoTest, SaveLoadMapServeBitIdenticallyOverSeededCorpora) {
         CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 10});
 
     TempFile file("roundtrip_" + std::to_string(seed) + ".blob");
-    ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+    ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
     EXPECT_FALSE(std::filesystem::exists(file.path() + ".tmp"))
         << "atomic save must not leave its tmp file behind";
 
-    const auto loaded = LoadCompactSnapshot(file.path());
+    const auto loaded = SnapshotIo::Load(file.path());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    const auto mapped = MapCompactSnapshot(file.path());
+    const auto mapped = SnapshotIo::Map(file.path());
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
     EXPECT_EQ((*loaded)->version(), compact->version());
@@ -198,10 +198,10 @@ TEST(SnapshotIoTest, WideIdPoolsRoundTrip) {
       CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 0});
 
   TempFile file("wide.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
-  const auto loaded = LoadCompactSnapshot(file.path());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
+  const auto loaded = SnapshotIo::Load(file.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto mapped = MapCompactSnapshot(file.path());
+  const auto mapped = SnapshotIo::Map(file.path());
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
   const std::vector<std::vector<QueryId>> contexts =
@@ -222,15 +222,15 @@ TEST(SnapshotIoTest, MinimalModelsRoundTrip) {
     ASSERT_EQ(compact->num_entries(), 0u);
 
     TempFile file("rootonly.blob");
-    ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
-    const auto mapped = MapCompactSnapshot(file.path());
+    ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
+    const auto mapped = SnapshotIo::Map(file.path());
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     EXPECT_EQ((*mapped)->num_nodes(), 1u);
     SnapshotScratch scratch;
     const std::vector<QueryId> context = {QueryId{3}};
     EXPECT_FALSE((*mapped)->Recommend(context, 5, &scratch).covered);
     EXPECT_FALSE((*mapped)->Covers(context));
-    const auto loaded = LoadCompactSnapshot(file.path());
+    const auto loaded = SnapshotIo::Load(file.path());
     ASSERT_TRUE(loaded.ok());
     EXPECT_FALSE((*loaded)->Covers(context));
   }
@@ -239,8 +239,8 @@ TEST(SnapshotIoTest, MinimalModelsRoundTrip) {
     const auto full = BuildFull(pair, 1, 16);
     const auto compact = CompactSnapshot::FromSnapshot(*full);
     TempFile file("single.blob");
-    ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
-    const auto mapped = MapCompactSnapshot(file.path());
+    ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
+    const auto mapped = SnapshotIo::Map(file.path());
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     const std::vector<std::vector<QueryId>> contexts = {{QueryId{1}},
                                                         {QueryId{2}}};
@@ -255,9 +255,9 @@ TEST(SnapshotIoTest, BlobCarriesItsOwnCorpusVersion) {
   const auto full = BuildFull(corpus, /*version=*/42, 1 << 10);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   TempFile file("version.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
 
-  const auto mapped = MapCompactSnapshot(file.path());
+  const auto mapped = SnapshotIo::Map(file.path());
   ASSERT_TRUE(mapped.ok());
   EXPECT_EQ((*mapped)->version(), 42u);
 
@@ -271,9 +271,9 @@ TEST(SnapshotIoTest, SkippingChecksumsStillServesIdentically) {
   const auto full = BuildFull(corpus, 1, 1 << 10);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   TempFile file("nocrc.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   const auto mapped =
-      MapCompactSnapshot(file.path(), {.verify_checksums = false});
+      SnapshotIo::Map(file.path(), {.verify_checksums = false});
   ASSERT_TRUE(mapped.ok());
   ExpectBitIdentical(*compact, **mapped, PrefixContexts(corpus, 200), 10);
 }
@@ -287,23 +287,23 @@ TEST(SnapshotIoTest, HugepageOptionsServeIdenticallyWhateverTheBacking) {
   const auto full = BuildFull(corpus, 1, 1 << 10);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   TempFile file("hugepage.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   const std::vector<std::vector<QueryId>> contexts =
       PrefixContexts(corpus, 200);
 
   const auto plain =
-      MapCompactSnapshot(file.path(), {.hugepages = false});
+      SnapshotIo::Map(file.path(), {.hugepages = false});
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ((*plain)->hugepage_mode(), HugepageMode::kNone);
   ExpectBitIdentical(*compact, **plain, contexts, 10);
 
-  const auto advised = MapCompactSnapshot(file.path());  // default on
+  const auto advised = SnapshotIo::Map(file.path());  // default on
   ASSERT_TRUE(advised.ok());
   EXPECT_NE((*advised)->hugepage_mode(), HugepageMode::kHugetlb);
   ExpectBitIdentical(*compact, **advised, contexts, 10);
 
   const auto hugetlb =
-      MapCompactSnapshot(file.path(), {.hugetlb = true});
+      SnapshotIo::Map(file.path(), {.hugetlb = true});
   ASSERT_TRUE(hugetlb.ok());  // kHugetlb, or a fallback mode if the pool
                               // is unprovisioned — both must serve
   ExpectBitIdentical(*compact, **hugetlb, contexts, 10);
@@ -320,7 +320,7 @@ TEST(SnapshotIoTest, CorruptBytesAreRejectedEverywhere) {
   const auto full = BuildFull(corpus, 1, 1 << 10, /*max_depth=*/3);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   TempFile file("corrupt.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   const std::vector<uint8_t> blob = ReadAll(file.path());
 
   // Covered byte ranges: header, table, and each section payload (decoded
@@ -344,9 +344,9 @@ TEST(SnapshotIoTest, CorruptBytesAreRejectedEverywhere) {
       std::vector<uint8_t> mutated = blob;
       mutated[at] ^= 0x5A;
       WriteAll(file.path(), mutated);
-      EXPECT_FALSE(LoadCompactSnapshot(file.path()).ok())
+      EXPECT_FALSE(SnapshotIo::Load(file.path()).ok())
           << "byte " << at << " flip not detected by Load";
-      EXPECT_FALSE(MapCompactSnapshot(file.path()).ok())
+      EXPECT_FALSE(SnapshotIo::Map(file.path()).ok())
           << "byte " << at << " flip not detected by Map";
       ++flipped;
     }
@@ -359,7 +359,7 @@ TEST(SnapshotIoTest, TruncatedBlobsAreRejected) {
   const auto full = BuildFull(corpus, 1, 1 << 10, /*max_depth=*/3);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   TempFile file("truncated.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   const std::vector<uint8_t> blob = ReadAll(file.path());
 
   for (const size_t keep :
@@ -368,19 +368,19 @@ TEST(SnapshotIoTest, TruncatedBlobsAreRejected) {
     std::vector<uint8_t> shorter(blob.begin(),
                                  blob.begin() + static_cast<ptrdiff_t>(keep));
     WriteAll(file.path(), shorter);
-    EXPECT_FALSE(LoadCompactSnapshot(file.path()).ok()) << "kept " << keep;
-    EXPECT_FALSE(MapCompactSnapshot(file.path()).ok()) << "kept " << keep;
+    EXPECT_FALSE(SnapshotIo::Load(file.path()).ok()) << "kept " << keep;
+    EXPECT_FALSE(SnapshotIo::Map(file.path()).ok()) << "kept " << keep;
   }
 
   // Trailing garbage is corruption too (the header pins the exact size).
   std::vector<uint8_t> longer = blob;
   longer.push_back(0xFF);
   WriteAll(file.path(), longer);
-  EXPECT_FALSE(LoadCompactSnapshot(file.path()).ok());
-  EXPECT_FALSE(MapCompactSnapshot(file.path()).ok());
+  EXPECT_FALSE(SnapshotIo::Load(file.path()).ok());
+  EXPECT_FALSE(SnapshotIo::Map(file.path()).ok());
 
-  EXPECT_FALSE(LoadCompactSnapshot(file.path() + ".does_not_exist").ok());
-  EXPECT_FALSE(MapCompactSnapshot(file.path() + ".does_not_exist").ok());
+  EXPECT_FALSE(SnapshotIo::Load(file.path() + ".does_not_exist").ok());
+  EXPECT_FALSE(SnapshotIo::Map(file.path() + ".does_not_exist").ok());
 }
 
 TEST(SnapshotIoTest, StructuralValidationCatchesBadIdsEvenWithoutChecksums) {
@@ -392,7 +392,7 @@ TEST(SnapshotIoTest, StructuralValidationCatchesBadIdsEvenWithoutChecksums) {
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   ASSERT_GT(compact->num_edges(), 0u);
   TempFile file("badid.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   std::vector<uint8_t> blob = ReadAll(file.path());
 
   // Locate the edge_child section (id 14) and point its first edge at a
@@ -408,8 +408,8 @@ TEST(SnapshotIoTest, StructuralValidationCatchesBadIdsEvenWithoutChecksums) {
   }
   WriteAll(file.path(), blob);
   const SnapshotLoadOptions no_verify{.verify_checksums = false};
-  EXPECT_FALSE(LoadCompactSnapshot(file.path(), no_verify).ok());
-  EXPECT_FALSE(MapCompactSnapshot(file.path(), no_verify).ok());
+  EXPECT_FALSE(SnapshotIo::Load(file.path(), no_verify).ok());
+  EXPECT_FALSE(SnapshotIo::Map(file.path(), no_verify).ok());
 }
 
 TEST(SnapshotIoTest, StructuralValidationCatchesSpikedCsrOffset) {
@@ -422,7 +422,7 @@ TEST(SnapshotIoTest, StructuralValidationCatchesSpikedCsrOffset) {
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   ASSERT_GT(compact->num_nodes(), 2u);
   TempFile file("spiked.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   std::vector<uint8_t> blob = ReadAll(file.path());
 
   // Locate the child_begin section (id 5) and spike the offset of node 1.
@@ -437,8 +437,8 @@ TEST(SnapshotIoTest, StructuralValidationCatchesSpikedCsrOffset) {
   }
   WriteAll(file.path(), blob);
   const SnapshotLoadOptions no_verify{.verify_checksums = false};
-  EXPECT_FALSE(LoadCompactSnapshot(file.path(), no_verify).ok());
-  EXPECT_FALSE(MapCompactSnapshot(file.path(), no_verify).ok());
+  EXPECT_FALSE(SnapshotIo::Load(file.path(), no_verify).ok());
+  EXPECT_FALSE(SnapshotIo::Map(file.path(), no_verify).ok());
 }
 
 // ------------------------------------------------- serving-stack suite
@@ -449,7 +449,7 @@ TEST(SnapshotIoTest, EngineColdBootsFromBlobAndKeepsServingOnBadReload) {
   const auto compact =
       CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 10});
   TempFile file("engine.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
 
   RecommenderEngine engine(EngineOptions{.num_threads = 1});
   ASSERT_TRUE(engine.LoadAndPublish(file.path()).ok());
@@ -498,7 +498,7 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
   // Generation 1 is on disk, loadable, and identical to what was
   // published.
   {
-    const auto mapped = MapCompactSnapshot(file.path());
+    const auto mapped = SnapshotIo::Map(file.path());
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     EXPECT_EQ((*mapped)->version(), 1u);
     const auto published = std::dynamic_pointer_cast<const CompactSnapshot>(
@@ -511,7 +511,7 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
   retrainer.AppendSessions(fresh);
   ASSERT_TRUE(retrainer.RetrainOnce().ok());
   {
-    const auto mapped = MapCompactSnapshot(file.path());
+    const auto mapped = SnapshotIo::Map(file.path());
     ASSERT_TRUE(mapped.ok());
     EXPECT_EQ((*mapped)->version(), 2u);
     // A brand-new replica cold-booted from the persisted blob serves the
@@ -550,7 +550,7 @@ TEST(SnapshotIoTest, PersistWithFullPublishStillWritesCompactBlob) {
       engine.CurrentSnapshot());
   ASSERT_NE(published, nullptr);
   EXPECT_EQ(published->options().top_k, 0u);
-  const auto mapped = MapCompactSnapshot(file.path());
+  const auto mapped = SnapshotIo::Map(file.path());
   ASSERT_TRUE(mapped.ok());
   EXPECT_EQ((*mapped)->version(), 1u);
   EXPECT_EQ((*mapped)->options().top_k, options.compact.top_k);
@@ -583,15 +583,15 @@ TEST(SnapshotGoldenTest, CommittedBlobMatchesFreshlyTrainedModel) {
                                   kGoldenRelPath;
   const auto compact = BuildGoldenCompact();
   if (std::getenv("SQP_REGEN_GOLDEN") != nullptr) {
-    ASSERT_TRUE(SaveCompactSnapshot(*compact, golden_path).ok());
+    ASSERT_TRUE(SnapshotIo::Save(*compact, golden_path).ok());
     GTEST_SKIP() << "regenerated " << golden_path;
   }
   ASSERT_TRUE(std::filesystem::exists(golden_path))
       << golden_path << " is missing — regenerate with SQP_REGEN_GOLDEN=1";
 
-  const auto loaded = LoadCompactSnapshot(golden_path);
+  const auto loaded = SnapshotIo::Load(golden_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto mapped = MapCompactSnapshot(golden_path);
+  const auto mapped = SnapshotIo::Map(golden_path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
   EXPECT_EQ((*loaded)->version(), kGoldenVersion);
@@ -633,7 +633,7 @@ TEST(SnapshotGoldenTest, CommittedWideCodeBlobMatchesFreshlyTrainedModel) {
       CompactOptions{.top_k = 0});
   ASSERT_TRUE(compact->wide_codes());
   if (std::getenv("SQP_REGEN_GOLDEN") != nullptr) {
-    ASSERT_TRUE(SaveCompactSnapshot(*compact, golden_path).ok());
+    ASSERT_TRUE(SnapshotIo::Save(*compact, golden_path).ok());
     GTEST_SKIP() << "regenerated " << golden_path;
   }
   ASSERT_TRUE(std::filesystem::exists(golden_path))
@@ -644,9 +644,9 @@ TEST(SnapshotGoldenTest, CommittedWideCodeBlobMatchesFreshlyTrainedModel) {
   in.read(reinterpret_cast<char*>(header.data()), 64);
   EXPECT_EQ(LoadLE32(header.data() + 8), kSnapshotFormatVersionWideCodes);
 
-  const auto loaded = LoadCompactSnapshot(golden_path);
+  const auto loaded = SnapshotIo::Load(golden_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto mapped = MapCompactSnapshot(golden_path);
+  const auto mapped = SnapshotIo::Map(golden_path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE((*loaded)->wide_codes());
   EXPECT_TRUE((*mapped)->wide_codes());

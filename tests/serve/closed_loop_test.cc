@@ -390,5 +390,101 @@ TEST(ClosedLoopTest, ShardedConsumeFeedbackMatchesSingleEngineAnswers) {
   EXPECT_EQ(*again, 0u);
 }
 
+// FeedbackHook::OnServed reserves its record id before it takes the log's
+// append lock, so impression N+1 can land before impression N. A consume
+// in between sees N+1 only; N must still be folded in once it lands —
+// by the single-engine and the fleet consumer alike.
+TEST(ClosedLoopTest, ImpressionLandingAfterANewerOneIsStillConsumed) {
+  TempDir dir;
+  auto log = FeedbackLog::Open({.dir = dir.str()});
+  ASSERT_TRUE(log.ok());
+  const std::vector<std::vector<QueryId>> contexts =
+      CollectContexts(SharedCorpus().drifted, 2);
+  const auto append_clicked = [&](uint64_t id,
+                                  const std::vector<QueryId>& context) {
+    FeedbackRecord record;
+    record.record_id = id;
+    record.context = context;
+    record.served = {{context.back(), 0.5, 1.0}};
+    ASSERT_TRUE((*log)->AppendImpression(record).ok());
+    ASSERT_TRUE((*log)->RecordClick(id, 0).ok());
+    ASSERT_TRUE((*log)->Flush().ok());
+  };
+
+  RecommenderEngine single(EngineOptions{.num_threads = 1});
+  Retrainer single_retrainer(&single, TestOptions());
+  ASSERT_TRUE(single_retrainer.Bootstrap(SharedCorpus().base).ok());
+  ShardedEngine sharded(ShardedEngineOptions{.num_shards = 3});
+  ShardedRetrainerSet sharded_retrainers(&sharded, TestOptions());
+  ASSERT_TRUE(sharded_retrainers.Bootstrap(SharedCorpus().base).ok());
+  const auto consume_both = [&](size_t expected) {
+    const auto from_single = single_retrainer.ConsumeFeedback(dir.str());
+    ASSERT_TRUE(from_single.ok());
+    EXPECT_EQ(*from_single, expected);
+    const auto from_sharded = sharded_retrainers.ConsumeFeedback(dir.str());
+    ASSERT_TRUE(from_sharded.ok());
+    EXPECT_EQ(*from_sharded, expected);
+  };
+
+  const uint64_t first = (*log)->NextRecordId();
+  const uint64_t second = (*log)->NextRecordId();
+  append_clicked(second, contexts[1]);
+  consume_both(1);
+  append_clicked(first, contexts[0]);
+  consume_both(1);
+  consume_both(0);  // both impressions consumed exactly once
+}
+
+// The consumer's id bookkeeping over several holes at once: ids land out
+// of order, some consumes see none of the missing ones, and every id is
+// folded in exactly once whenever it lands.
+TEST(ClosedLoopTest, FeedbackConsumerFoldsEveryLateIdExactlyOnce) {
+  TempDir dir;
+  auto log = FeedbackLog::Open({.dir = dir.str()});
+  ASSERT_TRUE(log.ok());
+  const std::vector<std::vector<QueryId>> contexts =
+      CollectContexts(SharedCorpus().drifted, 9);
+  const auto append_clicked = [&](std::initializer_list<uint64_t> ids) {
+    for (const uint64_t id : ids) {
+      FeedbackRecord record;
+      record.record_id = id;
+      record.context = contexts[id - 1];
+      record.served = {{contexts[id - 1].back(), 0.5, 1.0}};
+      ASSERT_TRUE((*log)->AppendImpression(record).ok());
+      ASSERT_TRUE((*log)->RecordClick(id, 0).ok());
+    }
+    ASSERT_TRUE((*log)->Flush().ok());
+  };
+  FeedbackConsumer consumer;
+  const auto consumed = [&] {
+    const auto sessions = consumer.Consume(dir.str());
+    EXPECT_TRUE(sessions.ok());
+    std::vector<std::vector<QueryId>> out;
+    for (const AggregatedSession& session : *sessions) {
+      out.emplace_back(session.queries.begin(), session.queries.end() - 1);
+    }
+    return out;
+  };
+  const auto contexts_of = [&](std::initializer_list<uint64_t> ids) {
+    std::vector<std::vector<QueryId>> out;
+    for (const uint64_t id : ids) out.push_back(contexts[id - 1]);
+    return out;
+  };
+
+  append_clicked({2, 5});
+  EXPECT_EQ(consumed(), contexts_of({2, 5}));  // holes: 1, 3-4
+  EXPECT_EQ(consumed(), contexts_of({}));
+  append_clicked({4, 7});
+  EXPECT_EQ(consumed(), contexts_of({4, 7}));  // holes: 1, 3, 6
+  append_clicked({6, 1});
+  EXPECT_EQ(consumed(), contexts_of({1, 6}));  // hole: 3
+  append_clicked({9, 3});
+  EXPECT_EQ(consumed(), contexts_of({3, 9}));  // hole: 8
+  EXPECT_EQ(consumed(), contexts_of({}));
+  append_clicked({8});
+  EXPECT_EQ(consumed(), contexts_of({8}));
+  EXPECT_EQ(consumed(), contexts_of({}));
+}
+
 }  // namespace
 }  // namespace sqp

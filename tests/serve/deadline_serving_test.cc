@@ -3,10 +3,14 @@
 // engines (unbounded AND generously-bounded deadlines), and that under
 // pressure the engine sheds whole requests, cuts batches mid-flight with
 // explicit per-item statuses, and degrades top_n — never deadlocking and
-// never touching deadline-free traffic.
+// never touching deadline-free traffic. Both engines run batches through
+// one batch runtime, so the batch cases (expired on arrival, empty,
+// unpublished, mid-batch cut, degrade) run over a RecommenderEngine and
+// over ShardedEngines of 1 and 3 shards with the same expectations.
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -42,6 +46,83 @@ std::shared_ptr<const CompactSnapshot> BuildSnapshot(
 const ServeOptions kBulk{.lane = QosLane::kBulk};
 
 Deadline Generous() { return Deadline::After(std::chrono::seconds(30)); }
+
+Deadline AlreadyExpired() {
+  return Deadline::At(Deadline::Clock::now() - std::chrono::milliseconds(1));
+}
+
+/// Version-1 shard snapshots of the base corpus, trained once per shard
+/// count.
+const std::vector<std::shared_ptr<const CompactSnapshot>>& FleetSnapshots(
+    size_t num_shards) {
+  static std::map<size_t, std::vector<std::shared_ptr<const CompactSnapshot>>>
+      fleets;
+  auto& packed = fleets[num_shards];
+  if (packed.empty()) {
+    ShardedTrainOptions train;
+    train.model.default_max_depth = 5;
+    train.num_shards = static_cast<uint32_t>(num_shards);
+    train.vocabulary_size = kVocabularyBound;
+    auto trained = TrainShardedSnapshots(SharedCorpus().base, train);
+    SQP_CHECK(trained.ok());
+    for (const auto& shard : trained->shards) {
+      packed.push_back(oracle::PackExact(*shard));
+    }
+  }
+  return packed;
+}
+
+/// Runs `body(engine)` on a fresh engine of every kind — a
+/// RecommenderEngine, then ShardedEngines of 1 and 3 shards — built with
+/// `options`' lanes and admission knobs, and published with version-1
+/// snapshots of the base corpus when `publish` is set.
+template <typename Body>
+void ForEachEngine(const EngineOptions& options, bool publish, Body body) {
+  {
+    SCOPED_TRACE("RecommenderEngine");
+    RecommenderEngine engine(options);
+    if (publish) engine.Publish(BuildSnapshot(SharedCorpus().base, 1));
+    body(engine);
+  }
+  for (const size_t shards : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("ShardedEngine with " + std::to_string(shards) + " shards");
+    ShardedEngine engine(ShardedEngineOptions{.num_shards = shards,
+                                              .num_threads =
+                                                  options.num_threads,
+                                              .admission = options.admission});
+    if (publish) {
+      for (size_t s = 0; s < shards; ++s) {
+        engine.PublishShard(s, FleetSnapshots(shards)[s]);
+      }
+    }
+    body(engine);
+  }
+}
+
+/// A lane's QoS counters without the (timing-dependent) latency histogram.
+struct LaneCounts {
+  uint64_t admitted = 0;
+  uint64_t shed_queue_full = 0;
+  uint64_t shed_deadline = 0;
+  uint64_t expired_in_queue = 0;
+  uint64_t expired_items = 0;
+  uint64_t degraded = 0;
+
+  bool operator==(const LaneCounts&) const = default;
+};
+
+LaneCounts Counts(const AdmissionStats& stats, QosLane lane) {
+  const LaneCounters& c = stats.lane(lane);
+  return {c.admitted,         c.shed_queue_full, c.shed_deadline,
+          c.expired_in_queue, c.expired_items,   c.degraded};
+}
+
+void PrintTo(const LaneCounts& c, std::ostream* os) {
+  *os << "{admitted " << c.admitted << ", shed_queue_full "
+      << c.shed_queue_full << ", shed_deadline " << c.shed_deadline
+      << ", expired_in_queue " << c.expired_in_queue << ", expired_items "
+      << c.expired_items << ", degraded " << c.degraded << "}";
+}
 
 // ------------------------------------------------- no-overload equivalence
 
@@ -137,49 +218,104 @@ TEST(DeadlineServingTest, ShardedQosMatchesLegacyWithoutOverload) {
 // ----------------------------------------------------------- shed paths
 
 TEST(DeadlineServingTest, EngineShedsRequestsThatArriveExpired) {
-  RecommenderEngine engine(EngineOptions{.num_threads = 2});
-  engine.Publish(BuildSnapshot(SharedCorpus().base, 1));
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 40);
+  ForEachEngine(EngineOptions{.num_threads = 2}, true, [&](auto& engine) {
+    ServeOptions options;
+    options.deadline = AlreadyExpired();
+    const BatchResult batch = engine.RecommendMany(contexts, 5, options);
+    EXPECT_EQ(batch.admission.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(batch.served, 0u);
+    EXPECT_EQ(batch.effective_top_n, 5u);
+    EXPECT_FALSE(batch.degraded);
+    EXPECT_EQ(batch.statuses, std::vector<StatusCode>(
+                                  contexts.size(),
+                                  StatusCode::kDeadlineExceeded));
 
-  ServeOptions options;
-  options.deadline =
-      Deadline::At(Deadline::Clock::now() - std::chrono::milliseconds(1));
-  const BatchResult batch = engine.RecommendMany(contexts, 5, options);
-  EXPECT_EQ(batch.admission.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(batch.served, 0u);
-  ASSERT_EQ(batch.statuses.size(), contexts.size());
-  for (const StatusCode code : batch.statuses) {
-    EXPECT_EQ(code, StatusCode::kDeadlineExceeded);
-  }
+    const ServeResult single = engine.Recommend(contexts[0], 5, options);
+    EXPECT_EQ(single.status, StatusCode::kDeadlineExceeded);
+    EXPECT_TRUE(single.recommendation.queries.empty());
 
-  const ServeResult single = engine.Recommend(contexts[0], 5, options);
-  EXPECT_EQ(single.status, StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(single.recommendation.queries.empty());
+    // The legacy path is oblivious: same engine, same instant, full
+    // answer (a pool-sized bulk batch, admitted through the slot).
+    const BatchResult legacy = engine.RecommendMany(contexts, 5, kBulk);
+    EXPECT_EQ(legacy.served, contexts.size());
 
-  const AdmissionStats stats = engine.stats().admission;
-  EXPECT_GE(stats.lane(QosLane::kInteractive).shed_deadline, 2u);
-  // The legacy path is oblivious: same engine, same instant, full answer.
-  EXPECT_EQ(engine.RecommendMany(contexts, 5, kBulk).results.size(),
-            contexts.size());
+    const AdmissionStats stats = engine.stats().admission;
+    EXPECT_EQ(Counts(stats, QosLane::kInteractive),
+              (LaneCounts{.shed_deadline = 2}));
+    EXPECT_EQ(Counts(stats, QosLane::kBulk), (LaneCounts{.admitted = 1}));
+  });
 }
 
-TEST(DeadlineServingTest, UnpublishedEnginesReportUnavailable) {
-  RecommenderEngine engine(EngineOptions{.num_threads = 1});
-  ServeOptions options;
-  options.deadline = Generous();
-  const std::vector<QueryId> context = {1, 2, 3};
-  const ServeResult single = engine.Recommend(context, 5, options);
-  EXPECT_EQ(single.status, StatusCode::kUnavailable);
-  EXPECT_FALSE(single.recommendation.covered);
+// An empty batch is checked for arrival expiry, then answered without
+// taking the admission slot or leaving a latency record.
+TEST(DeadlineServingTest, EmptyBatchSkipsAdmission) {
+  const std::vector<std::vector<QueryId>> none;
+  ForEachEngine(EngineOptions{.num_threads = 2}, true, [&](auto& engine) {
+    for (const Deadline& deadline : {Deadline::None(), Generous()}) {
+      ServeOptions options;
+      options.deadline = deadline;
+      const BatchResult batch = engine.RecommendMany(none, 5, options);
+      EXPECT_TRUE(batch.admission.ok()) << batch.admission.ToString();
+      EXPECT_TRUE(batch.results.empty());
+      EXPECT_TRUE(batch.statuses.empty());
+      EXPECT_EQ(batch.served, 0u);
+      EXPECT_EQ(batch.effective_top_n, 5u);
+      EXPECT_FALSE(batch.degraded);
+    }
+    ServeOptions expired;
+    expired.deadline = AlreadyExpired();
+    EXPECT_EQ(engine.RecommendMany(none, 5, expired).admission.code(),
+              StatusCode::kDeadlineExceeded);
 
-  const BatchResult batch = engine.RecommendMany(
-      std::vector<std::vector<QueryId>>{{1}, {2}}, 5, options);
-  ASSERT_TRUE(batch.admission.ok());
-  EXPECT_EQ(batch.served, 0u);
-  for (const StatusCode code : batch.statuses) {
-    EXPECT_EQ(code, StatusCode::kUnavailable);
-  }
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.batches_served, 3u);
+    EXPECT_EQ(stats.queries_served, 0u);
+    EXPECT_EQ(Counts(stats.admission, QosLane::kInteractive),
+              (LaneCounts{.shed_deadline = 1}));
+    EXPECT_EQ(Counts(stats.admission, QosLane::kBulk), LaneCounts{});
+  });
+}
+
+// No published snapshot: every item is kUnavailable, and the batch is
+// otherwise served like any other — admitted through the slot when
+// pool-sized, recorded in its lane either way.
+TEST(DeadlineServingTest, UnpublishedEnginesReportUnavailable) {
+  const std::vector<std::vector<QueryId>> pool_sized =
+      CollectContexts(SharedCorpus().base, 40);
+  ForEachEngine(EngineOptions{.num_threads = 2}, false, [&](auto& engine) {
+    ServeOptions options;
+    options.deadline = Generous();
+    const std::vector<QueryId> context = {1, 2, 3};
+    const ServeResult single = engine.Recommend(context, 5, options);
+    EXPECT_EQ(single.status, StatusCode::kUnavailable);
+    EXPECT_FALSE(single.recommendation.covered);
+
+    const BatchResult batch = engine.RecommendMany(
+        std::vector<std::vector<QueryId>>{{1}, {2}}, 5, options);
+    ASSERT_TRUE(batch.admission.ok());
+    EXPECT_EQ(batch.served, 0u);
+    EXPECT_EQ(batch.served_version, 0u);
+    EXPECT_EQ(batch.effective_top_n, 5u);
+    EXPECT_EQ(batch.statuses,
+              std::vector<StatusCode>(2, StatusCode::kUnavailable));
+
+    const BatchResult pooled = engine.RecommendMany(pool_sized, 5, kBulk);
+    ASSERT_TRUE(pooled.admission.ok());
+    EXPECT_EQ(pooled.served, 0u);
+    EXPECT_EQ(pooled.statuses,
+              std::vector<StatusCode>(pool_sized.size(),
+                                      StatusCode::kUnavailable));
+    for (const Recommendation& rec : pooled.results) {
+      EXPECT_FALSE(rec.covered);
+    }
+
+    const AdmissionStats stats = engine.stats().admission;
+    EXPECT_EQ(Counts(stats, QosLane::kInteractive),
+              (LaneCounts{.admitted = 1}));
+    EXPECT_EQ(Counts(stats, QosLane::kBulk), (LaneCounts{.admitted = 1}));
+  });
 }
 
 TEST(DeadlineServingTest, ShardWithNoSnapshotIsUnavailableOthersServe) {
@@ -233,9 +369,6 @@ TEST(DeadlineServingTest, ShardWithNoSnapshotIsUnavailableOthersServe) {
 // ------------------------------------------------------ mid-batch expiry
 
 TEST(DeadlineServingTest, BatchIsCutMidFlightWhenTheDeadlineExpires) {
-  RecommenderEngine engine(EngineOptions{.num_threads = 1});
-  engine.Publish(BuildSnapshot(SharedCorpus().base, 1));
-
   // ~240k items: far more work than 25 ms even on the fastest box, so the
   // deadline lands mid-batch. Build the ContextRef view *before* starting
   // the clock — on a loaded CI box the O(n) setup alone can otherwise eat
@@ -251,33 +384,39 @@ TEST(DeadlineServingTest, BatchIsCutMidFlightWhenTheDeadlineExpires) {
   refs.reserve(contexts.size());
   for (const auto& context : contexts) refs.emplace_back(context);
 
-  ServeOptions options;
-  options.deadline = Deadline::After(std::chrono::milliseconds(25));
-  const BatchResult batch = engine.RecommendMany(
-      std::span<const ContextRef>(refs), 5, options);
-  ASSERT_TRUE(batch.admission.ok()) << batch.admission.ToString();
-  EXPECT_GT(batch.served, 0u);          // made real progress...
-  EXPECT_LT(batch.served, contexts.size());  // ...but not the whole batch
-  ASSERT_EQ(batch.statuses.size(), contexts.size());
-  EXPECT_EQ(batch.statuses.back(), StatusCode::kDeadlineExceeded);
-
-  // Served prefix is exact; expired suffix is explicit and empty.
-  const std::vector<Recommendation> legacy =
-      engine.RecommendMany(seed, 5, kBulk).results;
-  size_t checked = 0;
-  for (size_t i = 0; i < contexts.size(); ++i) {
-    if (batch.statuses[i] == StatusCode::kOk) {
-      ExpectSameRecommendation(legacy[i % seed.size()], batch.results[i]);
-      if (++checked >= 64) break;  // spot-check; the full loop is O(n^2) logs
-    } else {
-      EXPECT_EQ(batch.statuses[i], StatusCode::kDeadlineExceeded);
-      EXPECT_TRUE(batch.results[i].queries.empty());
+  ForEachEngine(EngineOptions{.num_threads = 1}, true, [&](auto& engine) {
+    ServeOptions options;
+    options.deadline = Deadline::After(std::chrono::milliseconds(25));
+    const BatchResult batch = engine.RecommendMany(
+        std::span<const ContextRef>(refs), 5, options);
+    ASSERT_TRUE(batch.admission.ok()) << batch.admission.ToString();
+    EXPECT_GT(batch.served, 0u);               // made real progress...
+    EXPECT_LT(batch.served, contexts.size());  // ...but not the whole batch
+    EXPECT_EQ(batch.effective_top_n, 5u);
+    ASSERT_EQ(batch.statuses.size(), contexts.size());
+    // The cut is one served prefix, then one expired suffix.
+    for (size_t i = 0; i < contexts.size(); ++i) {
+      ASSERT_EQ(batch.statuses[i], i < batch.served
+                                       ? StatusCode::kOk
+                                       : StatusCode::kDeadlineExceeded)
+          << "item " << i;
     }
-  }
-  EXPECT_GT(checked, 0u);
 
-  const AdmissionStats stats = engine.stats().admission;
-  EXPECT_GT(stats.lane(QosLane::kInteractive).expired_items, 0u);
+    // Served prefix is exact; expired suffix is explicit and empty.
+    const std::vector<Recommendation> legacy =
+        engine.RecommendMany(seed, 5, kBulk).results;
+    for (size_t i = 0; i < batch.served && i < 64; ++i) {
+      ExpectSameRecommendation(legacy[i % seed.size()], batch.results[i]);
+    }
+    for (size_t i = batch.served; i < contexts.size(); ++i) {
+      ASSERT_TRUE(batch.results[i].queries.empty()) << "item " << i;
+    }
+
+    const AdmissionStats stats = engine.stats().admission;
+    EXPECT_EQ(Counts(stats, QosLane::kInteractive),
+              (LaneCounts{.admitted = 1,
+                          .expired_items = contexts.size() - batch.served}));
+  });
 }
 
 // ------------------------------------------- convoy fairness (regression)
@@ -349,8 +488,6 @@ TEST(DeadlineServingTest, BoundedRequestsDegradeTopNUnderPressure) {
   engine_options.admission.bulk_capacity = 1;
   // Threshold = ceil(0.5 * 2) = 1 waiting job triggers the ladder.
   engine_options.admission.degrade_pressure = 0.5;
-  RecommenderEngine engine(engine_options);
-  engine.Publish(BuildSnapshot(SharedCorpus().base, 1));
 
   const std::vector<std::vector<QueryId>> seed =
       CollectContexts(SharedCorpus().base, 4000);
@@ -359,52 +496,58 @@ TEST(DeadlineServingTest, BoundedRequestsDegradeTopNUnderPressure) {
   for (int rep = 0; rep < 25; ++rep) {
     huge.insert(huge.end(), seed.begin(), seed.end());
   }
+  // Fewer contexts than kMinBatchFanout: the probe runs inline, never
+  // queues, so it can't deadlock no matter what the slot is doing.
   const std::vector<std::vector<QueryId>> small(seed.begin(),
                                                 seed.begin() + 4);
+  static_assert(4 < kMinBatchFanout);
 
-  // A holds the batch slot for the duration of a ~100k-item batch; B
-  // queues behind it (deadline-free: it just waits). While B waits, a
-  // bounded request must see the degrade ladder.
-  std::atomic<int> giants_done{0};
-  std::thread holder([&] {
-    engine.RecommendMany(huge, 10, kBulk);
-    giants_done.fetch_add(1);
-  });
-  std::thread waiter([&] {
-    engine.RecommendMany(huge, 10, kBulk);
-    giants_done.fetch_add(1);
-  });
+  ForEachEngine(engine_options, true, [&](auto& engine) {
+    // A holds the batch slot for the duration of a ~100k-item batch; B
+    // queues behind it (deadline-free: it just waits). While B waits, a
+    // bounded request must see the degrade ladder.
+    std::atomic<int> giants_done{0};
+    std::thread holder([&] {
+      engine.RecommendMany(huge, 10, kBulk);
+      giants_done.fetch_add(1);
+    });
+    std::thread waiter([&] {
+      engine.RecommendMany(huge, 10, kBulk);
+      giants_done.fetch_add(1);
+    });
 
-  bool saw_degraded = false;
-  while (!saw_degraded && giants_done.load() < 2) {
+    bool saw_degraded = false;
+    while (!saw_degraded && giants_done.load() < 2) {
+      ServeOptions options;
+      options.deadline = Generous();
+      const BatchResult probe = engine.RecommendMany(small, 10, options);
+      if (probe.degraded) {
+        EXPECT_TRUE(probe.admission.ok());
+        EXPECT_EQ(probe.effective_top_n, 5u);
+        EXPECT_EQ(probe.served, small.size());
+        for (size_t i = 0; i < small.size(); ++i) {
+          EXPECT_EQ(probe.statuses[i], StatusCode::kOk);
+          EXPECT_LE(probe.results[i].queries.size(), 5u);
+        }
+        saw_degraded = true;
+      }
+    }
+    holder.join();
+    waiter.join();
+
+    EXPECT_TRUE(saw_degraded)
+        << "no degraded probe observed while a batch was queued";
+    const AdmissionStats stats = engine.stats().admission;
+    EXPECT_GT(stats.lane(QosLane::kInteractive).degraded, 0u);
+    EXPECT_EQ(Counts(stats, QosLane::kBulk), (LaneCounts{.admitted = 2}));
+
+    // Pressure gone: the same probe serves the full top_n again.
     ServeOptions options;
     options.deadline = Generous();
-    // 4 contexts < min_batch_fanout: runs inline, never queues, so this
-    // probe can't deadlock no matter what the slot is doing.
-    const BatchResult probe = engine.RecommendMany(small, 10, options);
-    if (probe.degraded) {
-      EXPECT_EQ(probe.effective_top_n, 5u);
-      for (size_t i = 0; i < small.size(); ++i) {
-        EXPECT_EQ(probe.statuses[i], StatusCode::kOk);
-        EXPECT_LE(probe.results[i].queries.size(), 5u);
-      }
-      saw_degraded = true;
-    }
-  }
-  holder.join();
-  waiter.join();
-
-  EXPECT_TRUE(saw_degraded)
-      << "no degraded probe observed while a batch was queued";
-  EXPECT_GT(engine.stats().admission.lane(QosLane::kInteractive).degraded,
-            0u);
-
-  // Pressure gone: the same probe serves the full top_n again.
-  ServeOptions options;
-  options.deadline = Generous();
-  const BatchResult after = engine.RecommendMany(small, 10, options);
-  EXPECT_FALSE(after.degraded);
-  EXPECT_EQ(after.effective_top_n, 10u);
+    const BatchResult after = engine.RecommendMany(small, 10, options);
+    EXPECT_FALSE(after.degraded);
+    EXPECT_EQ(after.effective_top_n, 10u);
+  });
 }
 
 }  // namespace

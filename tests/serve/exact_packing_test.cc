@@ -140,8 +140,8 @@ std::shared_ptr<const CompactSnapshot> ExpectServedExactly(
   engine.Publish(packed);
 
   const std::string path = TempBlobPath(name);
-  EXPECT_TRUE(SaveCompactSnapshot(*packed, path).ok());
-  const auto mapped = MapCompactSnapshot(path);
+  EXPECT_TRUE(SnapshotIo::Save(*packed, path).ok());
+  const auto mapped = SnapshotIo::Map(path);
   EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
   const std::vector<uint8_t> blob = ReadFileBytes(path);
   std::error_code ec;
@@ -261,13 +261,13 @@ TEST(ExactPackingTest, WideCodeBlobsAreVersionTwoAndRejectMismatchedHeaders) {
   const std::string path = TempBlobPath("version");
 
   // u16-code blobs stay version 1; u32-code blobs are version 2.
-  ASSERT_TRUE(SaveCompactSnapshot(
+  ASSERT_TRUE(SnapshotIo::Save(
                   *CompactSnapshot::FromSnapshot(
                       *model, CompactOptions{.top_k = 16}),
                   path)
                   .ok());
   EXPECT_EQ(LoadLE32(ReadFileBytes(path).data() + 8), kSnapshotFormatVersion);
-  ASSERT_TRUE(SaveCompactSnapshot(*oracle::PackExact(*model), path).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*oracle::PackExact(*model), path).ok());
   std::vector<uint8_t> blob = ReadFileBytes(path);
   ASSERT_GE(blob.size(), 64u);
   EXPECT_EQ(LoadLE32(blob.data() + 8), kSnapshotFormatVersionWideCodes);
@@ -282,10 +282,10 @@ TEST(ExactPackingTest, WideCodeBlobsAreVersionTwoAndRejectMismatchedHeaders) {
     out.write(reinterpret_cast<const char*>(blob.data()),
               static_cast<std::streamsize>(blob.size()));
   }
-  const auto loaded = LoadCompactSnapshot(path);
+  const auto loaded = SnapshotIo::Load(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(MapCompactSnapshot(path).ok());
+  EXPECT_FALSE(SnapshotIo::Map(path).ok());
   sqp_slim_predictor* slim = nullptr;
   EXPECT_EQ(sqp_slim_create_from_buffer(blob.data(), blob.size(), &slim),
             SQP_STATUS_INVALID_ARGUMENT);

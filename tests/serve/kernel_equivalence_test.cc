@@ -182,8 +182,8 @@ TEST(KernelEquivalenceTest, MappedSnapshotServesDenseWalkIdentically) {
       (std::filesystem::temp_directory_path() /
        ("sqp_kernel_equiv_" + std::to_string(::getpid()) + ".blob"))
           .string();
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, path).ok());
-  const auto mapped = MapCompactSnapshot(path);
+  ASSERT_TRUE(SnapshotIo::Save(*compact, path).ok());
+  const auto mapped = SnapshotIo::Map(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
   const std::vector<std::vector<QueryId>> contexts = TestContexts();

@@ -101,7 +101,7 @@ TEST(SlimApiTest, BitIdenticalTopTenToEngineOnGoldenBlob) {
   const std::vector<uint8_t> blob = ReadFileBytes(GoldenPath());
   ASSERT_FALSE(blob.empty());
 
-  const auto loaded = LoadCompactSnapshot(GoldenPath());
+  const auto loaded = SnapshotIo::Load(GoldenPath());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   SlimPredictorHandle slim(blob);
@@ -145,7 +145,7 @@ TEST(SlimApiTest, BitIdenticalTopTenToEngineOnGoldenBlob) {
 
 TEST(SlimApiTest, StatsMatchEngineCounters) {
   const std::vector<uint8_t> blob = ReadFileBytes(GoldenPath());
-  const auto loaded = LoadCompactSnapshot(GoldenPath());
+  const auto loaded = SnapshotIo::Load(GoldenPath());
   ASSERT_TRUE(loaded.ok());
 
   SlimPredictorHandle slim(blob);
@@ -178,7 +178,7 @@ bool EngineAccepts(const std::vector<uint8_t>& bytes,
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   }
-  const auto loaded = LoadCompactSnapshot(path);
+  const auto loaded = SnapshotIo::Load(path);
   std::filesystem::remove(path);
   if (!loaded.ok()) {
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
