@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "core/memory_accounting.h"
 #include "core/serving_walk.h"
+#include "util/flat_hash.h"
 
 namespace sqp {
 
@@ -27,7 +27,14 @@ uint8_t BlockShift(uint64_t max_count) {
   return shift;
 }
 
-/// The kept-entry indices of every node under the truncation policy:
+/// Keep flags of every node's entries, flat: entry i of node `id`'s
+/// `nexts` is kept iff flag[first[id] + i]. The root owns no slots.
+struct KeepFlags {
+  std::vector<uint32_t> first;  // num_nodes + 1 offsets
+  std::vector<uint8_t> flag;
+};
+
+/// The kept entries of every node under the truncation policy:
 ///
 ///  (a) per-node top-K — `nexts` is sorted by descending count (ties by
 ///      ascending query), so the base slice is the node's own ranking
@@ -50,80 +57,90 @@ uint8_t BlockShift(uint64_t max_count) {
 /// The root keeps nothing: serving never reads the root's nexts (ranking
 /// levels are non-root path nodes), so packing them would be dead weight.
 ///
-/// Cost: when any node truncates, pass (b) packs `full` exactly once and
-/// serves one recommendation per tree node through it —
-/// O(n * top_k * depth) on top of the model build. That is the price of
-/// the preservation property; both passes are skipped entirely when no
-/// node exceeds top_k.
-std::vector<std::vector<uint32_t>> KeptEntries(const ModelSnapshot& full,
-                                               size_t top_k) {
+/// Cost: (b) and (c) can only set a flag in a node that truncates
+/// (`nexts.size() > top_k`); every other node keeps all its entries after
+/// (a). So (b) packs `full` exactly once and serves one top-K walk per
+/// node that has a truncating node on its root path, pinning its list
+/// only at those truncating ancestors; (c) looks up only truncating
+/// parents. Lookups go through one flat (node, query) -> entry table over
+/// the truncating nodes' entries. Both passes are skipped entirely when no
+/// node exceeds top_k. The result equals the unpruned policy's exactly
+/// (tests/oracle/kept_entries.h is that reference).
+KeepFlags KeptEntries(const ModelSnapshot& full, size_t top_k) {
   const std::vector<Pst::Node>& nodes = full.pst()->nodes();
   const size_t n = nodes.size();
-  std::vector<std::vector<uint8_t>> flag(n);
-  bool any_truncated = false;
+  KeepFlags keep;
+  keep.first.assign(n + 1, 0);
   for (size_t id = 1; id < n; ++id) {
-    flag[id].assign(nodes[id].nexts.size(), 0);
-    const size_t base = std::min(top_k, nodes[id].nexts.size());
-    std::fill(flag[id].begin(), flag[id].begin() + base, 1);
-    any_truncated |= base < nodes[id].nexts.size();
+    keep.first[id + 1] =
+        keep.first[id] + static_cast<uint32_t>(nodes[id].nexts.size());
   }
+  keep.flag.assign(keep.first[n], 0);
 
-  // Lazily-built (query -> entry index) maps, shared by passes (b)/(c).
-  std::vector<std::unordered_map<QueryId, uint32_t>> index_of(n);
-  const auto entry_index = [&](size_t node, QueryId query) -> int64_t {
-    std::unordered_map<QueryId, uint32_t>& map = index_of[node];
-    if (map.empty() && !nodes[node].nexts.empty()) {
-      map.reserve(nodes[node].nexts.size());
-      for (uint32_t i = 0; i < nodes[node].nexts.size(); ++i) {
-        map.emplace(nodes[node].nexts[i].query, i);
-      }
+  // (a), plus which nodes truncate and which have a truncating node on
+  // their root path (one forward pass: node ids are parent-before-child).
+  std::vector<uint8_t> truncates(n, 0);
+  std::vector<uint8_t> truncating_path(n, 0);
+  size_t truncated_entries = 0;
+  for (size_t id = 1; id < n; ++id) {
+    const size_t size = nodes[id].nexts.size();
+    const size_t base = std::min(top_k, size);
+    std::fill_n(keep.flag.begin() + keep.first[id], base, 1);
+    truncates[id] = base < size;
+    if (truncates[id]) truncated_entries += size;
+    const int32_t parent = nodes[id].parent;
+    truncating_path[id] =
+        truncates[id] ||
+        (parent > 0 && truncating_path[static_cast<size_t>(parent)]);
+  }
+  if (truncated_entries == 0) return keep;
+
+  const auto key = [](size_t node, QueryId query) {
+    return (static_cast<uint64_t>(node) << 32) | query;
+  };
+  FlatU64Map entry_of(truncated_entries);
+  for (size_t id = 1; id < n; ++id) {
+    if (!truncates[id]) continue;
+    for (uint32_t i = 0; i < nodes[id].nexts.size(); ++i) {
+      entry_of[key(id, nodes[id].nexts[i].query)] = i;
     }
-    const auto it = map.find(query);
-    return it == map.end() ? -1 : static_cast<int64_t>(it->second);
+  }
+  // Flags `query` in truncating `node` if the node lists it.
+  const auto pin = [&](size_t node, QueryId query) {
+    if (const uint64_t* i = entry_of.Find(key(node, query))) {
+      keep.flag[keep.first[node] + *i] = 1;
+    }
   };
 
-  // (b) aggregate closure; (c) ancestor closure, as a reverse sweep that
-  // sees every descendant before its ancestor (node ids are
-  // parent-before-child). Both are no-ops when nothing was truncated.
-  if (any_truncated) {
-    const std::shared_ptr<const CompactSnapshot> exact =
-        CompactSnapshot::FromSnapshot(full, CompactOptions{.top_k = 0});
-    SnapshotScratch scratch;
-    scratch.Prepare(exact->ScratchHint());
-    for (size_t id = 1; id < n; ++id) {
-      const Recommendation rec =
-          exact->Recommend(nodes[id].context, top_k, &scratch);
-      for (const ScoredQuery& sq : rec.queries) {
-        for (int32_t a = static_cast<int32_t>(id); a > 0;
-             a = nodes[static_cast<size_t>(a)].parent) {
-          const int64_t i = entry_index(static_cast<size_t>(a), sq.query);
-          if (i >= 0) {
-            flag[static_cast<size_t>(a)][static_cast<size_t>(i)] = 1;
-          }
-        }
-      }
-    }
-    for (size_t id = n; id-- > 1;) {
-      const int32_t parent = nodes[id].parent;
-      if (parent <= 0) continue;
-      for (uint32_t i = 0; i < flag[id].size(); ++i) {
-        if (!flag[id][i]) continue;
-        const int64_t j = entry_index(static_cast<size_t>(parent),
-                                      nodes[id].nexts[i].query);
-        if (j >= 0) {
-          flag[static_cast<size_t>(parent)][static_cast<size_t>(j)] = 1;
-        }
-      }
-    }
-  }
-
-  std::vector<std::vector<uint32_t>> kept(n);
+  // (b) aggregate closure. Above the last truncating ancestor every node
+  // keeps everything, so the upward walk stops there.
+  const std::shared_ptr<const CompactSnapshot> exact =
+      CompactSnapshot::FromSnapshot(full, CompactOptions{.top_k = 0});
+  SnapshotScratch scratch;
+  scratch.Prepare(exact->ScratchHint());
   for (size_t id = 1; id < n; ++id) {
-    for (uint32_t i = 0; i < flag[id].size(); ++i) {
-      if (flag[id][i]) kept[id].push_back(i);
+    if (!truncating_path[id]) continue;
+    const Recommendation rec =
+        exact->Recommend(nodes[id].context, top_k, &scratch);
+    for (const ScoredQuery& sq : rec.queries) {
+      for (size_t a = id; a > 0 && truncating_path[a];
+           a = static_cast<size_t>(nodes[a].parent)) {
+        if (truncates[a]) pin(a, sq.query);
+      }
     }
   }
-  return kept;
+  // (c) ancestor closure, as a reverse sweep that sees every descendant
+  // before its ancestor.
+  for (size_t id = n; id-- > 1;) {
+    const int32_t parent = nodes[id].parent;
+    if (parent <= 0 || !truncates[static_cast<size_t>(parent)]) continue;
+    for (uint32_t i = 0; i < nodes[id].nexts.size(); ++i) {
+      if (keep.flag[keep.first[id] + i]) {
+        pin(static_cast<size_t>(parent), nodes[id].nexts[i].query);
+      }
+    }
+  }
+  return keep;
 }
 
 }  // namespace
@@ -202,9 +219,7 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
     }
   }
   const bool wide_codes = exact && max_count > 0xffff;
-  const std::vector<std::vector<uint32_t>> kept =
-      KeptEntries(full, exact ? std::numeric_limits<size_t>::max()
-                              : options.top_k);
+  const KeepFlags keep = exact ? KeepFlags{} : KeptEntries(full, options.top_k);
 
   const auto push_entry = [&](QueryId query, uint64_t code) {
     if (out->is_narrow_) {
@@ -258,7 +273,9 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
     const uint8_t shift =
         exact || node.nexts.empty() ? 0 : BlockShift(node.nexts[0].count);
     out->own_count_shift_.push_back(shift);
-    for (uint32_t i : kept[id]) {
+    // The root's nexts are never packed (see KeptEntries).
+    for (uint32_t i = 0; id > 0 && i < node.nexts.size(); ++i) {
+      if (!exact && !keep.flag[keep.first[id] + i]) continue;
       const uint64_t code = node.nexts[i].count >> shift;
       push_entry(node.nexts[i].query, code == 0 ? 1 : code);
     }

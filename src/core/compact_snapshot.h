@@ -39,6 +39,9 @@ struct CompactOptions {
   /// (tested; tab07_memory_footprint tracks the exact agreement rate in
   /// BENCH_memory.json). 0 also makes the packing exact: counts are never
   /// shifted, and the codes widen to u32 when a count outgrows 16 bits.
+  /// Cost on top of the exact layout: one exact pack plus one top-K walk
+  /// per node that has a node with more than top_k nexts on its root path
+  /// (no walk at all when none truncates); exact packing pays neither.
   size_t top_k = 16;
 };
 

@@ -187,114 +187,132 @@ void ContextIndex::Finalize() {
   entry_nodes_.clear();
   edges_.clear();
   total_occurrences_ = 0;
+  const size_t num_nodes = trie_.size();
+  uint32_t max_depth = 0;
   for (TrieNode& node : trie_) {
     node.entry = -1;
     node.edges_begin = 0;
     node.edges_end = 0;
+    max_depth = std::max(max_depth, node.depth);
   }
 
-  // Flatten the count table into per-node next lists, grouped by node.
-  struct Triple {
+  // Canonical (length, lexicographic) order of every trie node, fixed once
+  // at build time. A node's context is its own edge (the oldest query)
+  // followed by its parent's context, so among the nodes of depth L the
+  // order is that of the integer keys (edge, rank of the parent among the
+  // nodes of depth L-1): one key sort per depth, shallowest first.
+  // Contexts are unique, so the order (and with it every downstream
+  // structure, e.g. a PST built from the sorted entries) is independent of
+  // trie node numbering — and therefore of the counting worker count.
+  std::vector<uint32_t> depth_begin(max_depth + 2, 0);
+  for (const TrieNode& node : trie_) ++depth_begin[node.depth + 1];
+  for (size_t d = 1; d < depth_begin.size(); ++d) {
+    depth_begin[d] += depth_begin[d - 1];
+  }
+  std::vector<int32_t> order(num_nodes);  // by (depth, context)
+  {
+    std::vector<uint32_t> cursor(depth_begin.begin(), depth_begin.end() - 1);
+    for (size_t i = 0; i < num_nodes; ++i) {
+      order[cursor[trie_[i].depth]++] = static_cast<int32_t>(i);
+    }
+  }
+  std::vector<uint32_t> rank(num_nodes, 0);  // position among its depth
+  struct KeyedNode {
+    uint64_t key;
     int32_t node;
-    QueryId next;
-    uint64_t count;
   };
-  std::vector<Triple> triples;
-  triples.reserve(counts_.size());
-  counts_.ForEach([&](uint64_t key, uint64_t count) {
-    triples.push_back(Triple{static_cast<int32_t>(key >> 32),
-                             static_cast<QueryId>(key), count});
-  });
-  std::sort(triples.begin(), triples.end(),
-            [](const Triple& a, const Triple& b) {
-              if (a.node != b.node) return a.node < b.node;
-              return a.next < b.next;
-            });
+  std::vector<KeyedNode> keyed;
+  for (uint32_t depth = 1; depth <= max_depth; ++depth) {
+    const uint32_t begin = depth_begin[depth];
+    const uint32_t end = depth_begin[depth + 1];
+    keyed.clear();
+    for (uint32_t i = begin; i < end; ++i) {
+      const TrieNode& node = trie_[static_cast<size_t>(order[i])];
+      keyed.push_back(KeyedNode{
+          (static_cast<uint64_t>(node.edge) << 32) |
+              rank[static_cast<size_t>(node.parent)],
+          order[i]});
+    }
+    std::sort(keyed.begin(), keyed.end(),
+              [](const KeyedNode& a, const KeyedNode& b) {
+                return a.key < b.key;
+              });
+    for (uint32_t j = 0; j < keyed.size(); ++j) {
+      order[begin + j] = keyed[j].node;
+      rank[static_cast<size_t>(keyed[j].node)] = j;
+    }
+  }
 
-  // Materialize one ContextEntry per counted node. Walking node -> root
-  // collects edge labels oldest-first, which is the context orientation.
-  entries_.reserve(counts_.size() / 2 + 1);
-  for (size_t i = 0; i < triples.size();) {
-    const int32_t node = triples[i].node;
+  // Group the count table by node (counting pass; SortNexts below fixes
+  // the order within a node).
+  std::vector<uint32_t> next_begin(num_nodes + 1, 0);
+  counts_.ForEach([&](uint64_t key, uint64_t) {
+    ++next_begin[static_cast<size_t>(key >> 32) + 1];
+  });
+  size_t counted_nodes = 0;
+  for (size_t i = 1; i <= num_nodes; ++i) {
+    counted_nodes += next_begin[i] > 0;
+    next_begin[i] += next_begin[i - 1];
+  }
+  std::vector<NextQueryCount> nexts(counts_.size());
+  {
+    std::vector<uint32_t> cursor(next_begin.begin(), next_begin.end() - 1);
+    counts_.ForEach([&](uint64_t key, uint64_t count) {
+      nexts[cursor[static_cast<size_t>(key >> 32)]++] =
+          NextQueryCount{static_cast<QueryId>(key), count};
+    });
+  }
+
+  // One ContextEntry per counted node, emitted in canonical order. Walking
+  // node -> root collects edge labels oldest-first, which is the context
+  // orientation.
+  entries_.reserve(counted_nodes);
+  entry_nodes_.reserve(counted_nodes);
+  for (const int32_t node : order) {
+    const size_t begin = next_begin[static_cast<size_t>(node)];
+    const size_t end = next_begin[static_cast<size_t>(node) + 1];
+    if (begin == end) continue;
+    const TrieNode& trie_node = trie_[static_cast<size_t>(node)];
     ContextEntry entry;
-    entry.context.resize(trie_[static_cast<size_t>(node)].depth);
+    entry.context.resize(trie_node.depth);
     size_t pos = 0;
     for (int32_t walk = node; walk > 0;
          walk = trie_[static_cast<size_t>(walk)].parent) {
       entry.context[pos++] = trie_[static_cast<size_t>(walk)].edge;
     }
-    while (i < triples.size() && triples[i].node == node) {
-      entry.nexts.push_back(NextQueryCount{triples[i].next, triples[i].count});
-      entry.total_count += triples[i].count;
-      ++i;
-    }
+    entry.nexts.assign(nexts.begin() + static_cast<ptrdiff_t>(begin),
+                       nexts.begin() + static_cast<ptrdiff_t>(end));
+    for (const NextQueryCount& nc : entry.nexts) entry.total_count += nc.count;
     SortNexts(&entry.nexts);
-    entry.start_count = trie_[static_cast<size_t>(node)].start_count;
+    entry.start_count = trie_node.start_count;
     total_occurrences_ += entry.total_count;
+    trie_[static_cast<size_t>(node)].entry =
+        static_cast<int32_t>(entries_.size());
     entry_nodes_.push_back(node);
     entries_.push_back(std::move(entry));
   }
 
-  // Canonical (length, lexicographic) entry order, fixed once at build time.
-  // Contexts are unique, so the order (and with it every downstream
-  // structure, e.g. a PST built from the sorted entries) is independent of
-  // trie node numbering — and therefore of the counting worker count.
-  std::vector<int32_t> order(entries_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int32_t>(i);
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    const ContextEntry& ea = entries_[static_cast<size_t>(a)];
-    const ContextEntry& eb = entries_[static_cast<size_t>(b)];
-    if (ea.context.size() != eb.context.size()) {
-      return ea.context.size() < eb.context.size();
-    }
-    return ea.context < eb.context;
-  });
-  std::vector<ContextEntry> sorted_entries;
-  std::vector<int32_t> sorted_nodes;
-  sorted_entries.reserve(entries_.size());
-  sorted_nodes.reserve(entries_.size());
-  for (int32_t idx : order) {
-    sorted_entries.push_back(std::move(entries_[static_cast<size_t>(idx)]));
-    sorted_nodes.push_back(entry_nodes_[static_cast<size_t>(idx)]);
+  // CSR child arrays, grouped by parent with a counting pass. Scattering
+  // the children in canonical order lists each node's edges query-sorted:
+  // siblings share their parent's rank, so their keys order by edge.
+  std::vector<uint32_t> edge_begin(num_nodes + 1, 0);
+  for (size_t i = 1; i < num_nodes; ++i) {
+    ++edge_begin[static_cast<size_t>(trie_[i].parent) + 1];
   }
-  entries_ = std::move(sorted_entries);
-  entry_nodes_ = std::move(sorted_nodes);
-  for (size_t i = 0; i < entry_nodes_.size(); ++i) {
-    trie_[static_cast<size_t>(entry_nodes_[i])].entry = static_cast<int32_t>(i);
-  }
-
-  // CSR child arrays, query-sorted per node, derived from the parent links
-  // (independent of hash-table layout, hence deterministic by construction).
-  std::vector<TrieEdge> all_edges;
-  all_edges.reserve(trie_.size() - 1);
-  std::vector<int32_t> edge_parent;
-  edge_parent.reserve(trie_.size() - 1);
-  std::vector<int32_t> edge_order(trie_.size() > 0 ? trie_.size() - 1 : 0);
-  for (size_t i = 1; i < trie_.size(); ++i) {
-    all_edges.push_back(TrieEdge{trie_[i].edge, static_cast<int32_t>(i)});
-    edge_parent.push_back(trie_[i].parent);
-    edge_order[i - 1] = static_cast<int32_t>(i - 1);
-  }
-  std::sort(edge_order.begin(), edge_order.end(), [&](int32_t a, int32_t b) {
-    if (edge_parent[static_cast<size_t>(a)] !=
-        edge_parent[static_cast<size_t>(b)]) {
-      return edge_parent[static_cast<size_t>(a)] <
-             edge_parent[static_cast<size_t>(b)];
+  for (size_t i = 1; i <= num_nodes; ++i) edge_begin[i] += edge_begin[i - 1];
+  edges_.resize(num_nodes - 1);
+  {
+    std::vector<uint32_t> cursor(edge_begin.begin(), edge_begin.end() - 1);
+    for (size_t i = 1; i < num_nodes; ++i) {  // order[0] is the root
+      const TrieNode& child = trie_[static_cast<size_t>(order[i])];
+      edges_[cursor[static_cast<size_t>(child.parent)]++] =
+          TrieEdge{child.edge, order[i]};
     }
-    return all_edges[static_cast<size_t>(a)].query <
-           all_edges[static_cast<size_t>(b)].query;
-  });
-  edges_.reserve(all_edges.size());
-  for (size_t i = 0; i < edge_order.size();) {
-    const int32_t parent = edge_parent[static_cast<size_t>(edge_order[i])];
-    TrieNode& parent_node = trie_[static_cast<size_t>(parent)];
-    parent_node.edges_begin = static_cast<uint32_t>(edges_.size());
-    while (i < edge_order.size() &&
-           edge_parent[static_cast<size_t>(edge_order[i])] == parent) {
-      edges_.push_back(all_edges[static_cast<size_t>(edge_order[i])]);
-      ++i;
-    }
-    parent_node.edges_end = static_cast<uint32_t>(edges_.size());
+  }
+  for (size_t i = 0; i < num_nodes; ++i) {
+    if (edge_begin[i] == edge_begin[i + 1]) continue;
+    trie_[i].edges_begin = edge_begin[i];
+    trie_[i].edges_end = edge_begin[i + 1];
   }
 }
 

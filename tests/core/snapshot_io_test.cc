@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -563,13 +564,31 @@ TEST(SnapshotIoTest, PersistWithFullPublishStillWritesCompactBlob) {
 /// and commit the file together with a kSnapshotFormatVersion bump
 /// whenever the format intentionally changes. CI runs this test in a
 /// dedicated job: if the current reader cannot reproduce the freshly
-/// trained model's top-10 lists from the golden bytes, the format drifted
-/// silently and the build fails.
+/// trained model's top-10 lists from the golden bytes, or the fresh model
+/// no longer packs and saves to exactly those bytes, the format or the
+/// packing drifted silently and the build fails.
 constexpr char kGoldenRelPath[] = "/golden_snapshot_v1.blob";
 constexpr uint64_t kGoldenSeed = 77;
 constexpr size_t kGoldenSessions = 500;
 constexpr QueryId kGoldenVocabulary = 100;
 constexpr uint64_t kGoldenVersion = 1;
+
+std::vector<char> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+/// The blob `compact` saves is the committed golden file, byte for byte.
+void ExpectSavesGoldenBytes(const CompactSnapshot& compact,
+                            const std::string& golden_path) {
+  TempFile fresh("golden_fresh.blob");
+  ASSERT_TRUE(SnapshotIo::Save(compact, fresh.path()).ok());
+  const std::vector<char> golden = FileBytes(golden_path);
+  ASSERT_FALSE(golden.empty());
+  EXPECT_TRUE(FileBytes(fresh.path()) == golden)
+      << "a freshly packed and saved blob differs from " << golden_path;
+}
 
 std::shared_ptr<const CompactSnapshot> BuildGoldenCompact() {
   const std::vector<AggregatedSession> corpus =
@@ -605,6 +624,7 @@ TEST(SnapshotGoldenTest, CommittedBlobMatchesFreshlyTrainedModel) {
       SeededCorpus(kGoldenSeed, kGoldenSessions, kGoldenVocabulary), 500);
   ExpectBitIdentical(*compact, **loaded, contexts, 10);
   ExpectBitIdentical(*compact, **mapped, contexts, 10);
+  ExpectSavesGoldenBytes(*compact, golden_path);
 }
 
 /// The committed golden blob of format version 2 (u32 count codes):
@@ -657,6 +677,7 @@ TEST(SnapshotGoldenTest, CommittedWideCodeBlobMatchesFreshlyTrainedModel) {
       PrefixContexts(corpus, 500);
   ExpectBitIdentical(*compact, **loaded, contexts, 10);
   ExpectBitIdentical(*compact, **mapped, contexts, 10);
+  ExpectSavesGoldenBytes(*compact, golden_path);
 }
 
 }  // namespace

@@ -174,8 +174,66 @@ TEST_P(ContextIndexPropertyTest, TrieChildEdgesSortedAndLinked) {
   for (size_t node = 0; node < index_.num_trie_nodes(); ++node) {
     const auto kids = index_.trie_children(static_cast<int32_t>(node));
     for (size_t i = 0; i < kids.size(); ++i) {
-      if (i > 0) EXPECT_LT(kids[i - 1].query, kids[i].query);
+      if (i > 0) {
+        EXPECT_LT(kids[i - 1].query, kids[i].query);
+      }
       EXPECT_EQ(index_.trie_parent(kids[i].node), static_cast<int32_t>(node));
+    }
+  }
+}
+
+/// Asserts that `entries` is strictly increasing in (context length,
+/// lexicographic context) — the canonical order of SortedEntries().
+void ExpectCanonicalOrder(const std::vector<const ContextEntry*>& entries) {
+  for (size_t i = 1; i < entries.size(); ++i) {
+    const std::vector<QueryId>& a = entries[i - 1]->context;
+    const std::vector<QueryId>& b = entries[i]->context;
+    const bool increasing = a.size() != b.size() ? a.size() < b.size() : a < b;
+    ASSERT_TRUE(increasing) << "entries " << i - 1 << " and " << i
+                            << " are out of (length, lex) order";
+  }
+}
+
+TEST_P(ContextIndexPropertyTest, SortedEntriesInCanonicalOrder) {
+  ExpectCanonicalOrder(index_.SortedEntries());
+}
+
+TEST_P(ContextIndexPropertyTest, BuildThenAppendMatchesOneShotBuild) {
+  // Split the sessions, Build the first part and Append the rest: the
+  // re-finalized index must keep the canonical order and equal the
+  // one-shot Build entry for entry.
+  const size_t split = sessions_.size() / 3;
+  const std::vector<AggregatedSession> head(
+      sessions_.begin(), sessions_.begin() + static_cast<ptrdiff_t>(split));
+  const std::vector<AggregatedSession> tail(
+      sessions_.begin() + static_cast<ptrdiff_t>(split), sessions_.end());
+  ContextIndex appended;
+  appended.Build(head, mode_, max_len_);
+  appended.Append(tail);
+
+  const auto expected = index_.SortedEntries();
+  const auto entries = appended.SortedEntries();
+  ExpectCanonicalOrder(entries);
+  ASSERT_EQ(entries.size(), expected.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i]->context, expected[i]->context);
+    EXPECT_EQ(entries[i]->total_count, expected[i]->total_count);
+    EXPECT_EQ(entries[i]->start_count, expected[i]->start_count);
+    ASSERT_EQ(entries[i]->nexts.size(), expected[i]->nexts.size());
+    for (size_t j = 0; j < entries[i]->nexts.size(); ++j) {
+      EXPECT_EQ(entries[i]->nexts[j].query, expected[i]->nexts[j].query);
+      EXPECT_EQ(entries[i]->nexts[j].count, expected[i]->nexts[j].count);
+    }
+  }
+  EXPECT_EQ(appended.total_occurrences(), index_.total_occurrences());
+  for (size_t node = 0; node < appended.num_trie_nodes(); ++node) {
+    const auto kids = appended.trie_children(static_cast<int32_t>(node));
+    for (size_t i = 0; i < kids.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(kids[i - 1].query, kids[i].query);
+      }
+      EXPECT_EQ(appended.trie_parent(kids[i].node),
+                static_cast<int32_t>(node));
     }
   }
 }

@@ -165,7 +165,7 @@ TEST(CliConfigTest, ServeAndConnectModesRejectIgnoredFlags) {
 
   // A shard server has no stdin loop: client-side batching/QoS flags
   // would be silently ignored.
-  for (const std::vector<std::string> extra :
+  for (const std::vector<std::string>& extra :
        {std::vector<std::string>{"--batch", "8"},
         std::vector<std::string>{"--deadline-us", "100"},
         std::vector<std::string>{"--lane", "bulk"}}) {
